@@ -61,12 +61,14 @@ golden:
 fuzz:
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 30s ./internal/trace
 
-# Scheduled CI fuzz sweep: ~5 minutes split across the four codec/datapath
+# Scheduled CI fuzz sweep: ~5 minutes split across the six codec/datapath
 # fuzzers (go test allows one -fuzz target per invocation).
-FUZZ_TIME ?= 75s
+FUZZ_TIME ?= 50s
 fuzz-sweep:
+	$(GO) test -run FuzzChunk -fuzz FuzzChunk -fuzztime $(FUZZ_TIME) ./internal/chunk
 	$(GO) test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run FuzzWireFrame -fuzz FuzzWireFrame -fuzztime $(FUZZ_TIME) ./internal/server
+	$(GO) test -run FuzzDecodeDump -fuzz FuzzDecodeDump -fuzztime $(FUZZ_TIME) ./internal/flight
 	$(GO) test -run FuzzCommandRoundTrip -fuzz FuzzCommandRoundTrip -fuzztime $(FUZZ_TIME) ./internal/mac
 	$(GO) test -run FuzzFxpOps -fuzz FuzzFxpOps -fuzztime $(FUZZ_TIME) ./internal/fxp
 

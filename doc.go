@@ -285,16 +285,13 @@
 //
 // # Trace format and compatibility
 //
-// Traces are format version 1 (internal/trace has the byte-level
-// specification): a magic string and version, then CRC32-framed chunks —
-// a JSON header, one binary chunk per frame, and a trailing frame count —
-// optionally gzip-compressed (".gz" paths; readers sniff the content).
-// Compatibility policy: readers skip unknown chunk types whose CRC
-// verifies, so new chunk kinds can be added without a version bump;
-// unknown JSON header fields are ignored on read for the same reason. The
-// version number only changes when the chunk framing itself changes
-// incompatibly, and readers reject versions they do not know rather than
-// guessing. A file cut short of its trailer stays readable up to the cut
-// and then reports ErrTraceTruncated; flipped bits surface as
-// ErrTraceCorrupt, never as silently wrong samples.
+// Traces are format version 1: documents of the chunk envelope whose
+// grammar, compatibility policy and error classes internal/chunk states
+// once for traces, the wire protocol and flight dumps alike. A trace's
+// header is JSON (unknown fields are ignored on read), each frame is one
+// binary body chunk (internal/trace has the record layout), and files may
+// be gzip-compressed (".gz" paths; readers sniff the content). A file cut
+// short of its trailer stays readable up to the cut and then reports
+// ErrTraceTruncated; flipped bits, in the chunks or in the gzip layer,
+// surface as ErrTraceCorrupt, never as silently wrong samples.
 package saiyan

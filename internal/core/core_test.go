@@ -336,3 +336,49 @@ func TestPeakBiasMeasured(t *testing.T) {
 		t.Errorf("peak bias = %g symbol fractions, want |bias| < 0.1", d.peakBias)
 	}
 }
+
+// TestRenderHistoryInvariance is a metamorphic check on the render chain:
+// what a demodulator renders must not depend on what it rendered before.
+// A render on a used Demodulator has to equal the same render on a fresh
+// one, bit for bit, in every mode and at both decimations.
+func TestRenderHistoryInvariance(t *testing.T) {
+	for _, mode := range []Mode{ModeVanilla, ModeFull} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		used, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := cfg.Params
+		prev := p.FreqTrajectory(nil, p.SymbolValue(1), used.fsSim)
+		traj := p.FreqTrajectory(nil, p.SymbolValue(p.AlphabetSize()-1), used.fsSim)
+		for _, render := range []struct {
+			name string
+			fn   func(d *Demodulator, traj []float64) []float64
+		}{
+			{"RenderEnvelope", func(d *Demodulator, traj []float64) []float64 {
+				return d.RenderEnvelope(nil, traj, -60, nil)
+			}},
+			{"RenderCorrEnvelope", func(d *Demodulator, traj []float64) []float64 {
+				return d.RenderCorrEnvelope(nil, traj, -60, nil)
+			}},
+		} {
+			render.fn(used, prev)
+			render.fn(used, prev)
+			got := render.fn(used, traj)
+			want := render.fn(fresh.Clone(), traj)
+			if len(got) != len(want) {
+				t.Fatalf("%v %s: %d samples after history, %d fresh", mode, render.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v %s: sample %d is %g after history, %g fresh", mode, render.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

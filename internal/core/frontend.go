@@ -31,7 +31,8 @@ type Demodulator struct {
 	bpf  *dsp.FIR // IF band-pass (cyclic-frequency shifting)
 	ifHz float64  // intermediate frequency (2x the clock, from cos^2)
 
-	sampler analog.Sampler
+	sampler     analog.Sampler // comparator-rate decimation
+	corrSampler analog.Sampler // correlator-rate decimation (CorrOversample x faster)
 
 	// Calibration state.
 	calibrated bool
@@ -84,6 +85,7 @@ func New(cfg Config) (*Demodulator, error) {
 	d.spbSim = cfg.Params.SymbolDuration() * d.fsSim
 	d.spbSimInt = cfg.Params.SamplesPerSymbol(d.fsSim)
 	d.sampler = analog.Sampler{Oversample: cfg.Oversample}
+	d.corrSampler = analog.Sampler{Oversample: cfg.Oversample / cfg.CorrOversample}
 
 	cutoff := cfg.VideoCutoffFrac * d.fsSamp
 	d.lpf, err = dsp.NewLowPass(cutoff, d.fsSim, 63, dsp.Hamming)
@@ -166,7 +168,8 @@ func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rs
 // and the post-detection video filter — and returns the filtered envelope
 // at the simulation rate. The returned slice aliases the demodulator's
 // scratch buffers and is only valid until the next render; x is mutated in
-// place by the mixers.
+// place by the mixers. Every filter writes to a buffer other than its input,
+// so no render depends on what the previous one left in scratch.
 func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 	n := len(x)
 	env := d.cfg.Envelope
@@ -174,6 +177,9 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 		d.scratchEnv = make([]float64, n)
 	}
 	y := d.scratchEnv[:n]
+	// The video LPF reads y and writes lpfOut: scratchBuf in vanilla mode,
+	// scratchEnv once the band-pass has moved y into scratchBuf.
+	lpfOut := &d.scratchBuf
 
 	switch d.cfg.Mode {
 	case ModeVanilla:
@@ -191,7 +197,7 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 			env.AddBasebandImpairments(y, d.fsSim, rng)
 		}
 		d.scratchBuf = d.bpf.Apply(d.scratchBuf, y)
-		y, d.scratchBuf = d.scratchBuf, y[:0]
+		y, lpfOut = d.scratchBuf, &d.scratchEnv
 		d.cfg.IFAmp.Apply(y)
 		out := analog.Oscillator{FreqHz: d.ifHz}
 		out.MixReal(y, d.fsSim, d.cfg.ClockPhaseError)
@@ -203,9 +209,8 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 		}
 	}
 
-	d.scratchBuf = d.lpf.Apply(d.scratchBuf, y)
-	y, d.scratchBuf = d.scratchBuf, y
-	return y
+	*lpfOut = d.lpf.Apply(*lpfOut, y)
+	return *lpfOut
 }
 
 // RenderEnvelope pushes an instantaneous-frequency trajectory (Hz offsets
@@ -214,6 +219,11 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 // sampler rate. Pass rng=nil for a noise-free reference render (used for
 // calibration and correlation templates).
 func (d *Demodulator) RenderEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
+	return d.render(dst, trajHz, rssDBm, rng, d.sampler)
+}
+
+// render is RenderEnvelope decimated by the given sampler.
+func (d *Demodulator) render(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand, s analog.Sampler) []float64 {
 	n := len(trajHz)
 	amp := d.snrAmplitude(rssDBm)
 	carrier := d.cfg.Params.CarrierHz
@@ -230,7 +240,7 @@ func (d *Demodulator) RenderEnvelope(dst []float64, trajHz []float64, rssDBm flo
 		dsp.AddComplexNoise(x, 1, rng)
 	}
 	y := d.chainEnvelope(x, rng)
-	return d.sampler.SampleFloats(dst, y)
+	return s.SampleFloats(dst, y)
 }
 
 // RenderStream pushes a pre-composed antenna signal (see ComposeSignal)
@@ -248,8 +258,7 @@ func (d *Demodulator) RenderStream(x []complex128, rng *rand.Rand) (env, envC []
 	y := d.chainEnvelope(x, rng)
 	env = d.sampler.SampleFloats(nil, y)
 	if d.cfg.Mode == ModeFull {
-		cs := analog.Sampler{Oversample: d.cfg.Oversample / d.cfg.CorrOversample}
-		envC = cs.SampleFloats(nil, y)
+		envC = d.corrSampler.SampleFloats(nil, y)
 	}
 	return env, envC
 }
@@ -257,10 +266,5 @@ func (d *Demodulator) RenderStream(x []complex128, rng *rand.Rand) (env, envC []
 // RenderCorrEnvelope is RenderEnvelope at the correlator's higher sampling
 // rate (ModeFull decodes from this stream).
 func (d *Demodulator) RenderCorrEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
-	// Render through the same chain but decimate less aggressively.
-	saved := d.sampler
-	d.sampler = analog.Sampler{Oversample: d.cfg.Oversample / d.cfg.CorrOversample}
-	out := d.RenderEnvelope(dst, trajHz, rssDBm, rng)
-	d.sampler = saved
-	return out
+	return d.render(dst, trajHz, rssDBm, rng, d.corrSampler)
 }

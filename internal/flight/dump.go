@@ -1,12 +1,15 @@
 package flight
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
+
+	"saiyan/internal/chunk"
 )
 
 // Dump is one black-box snapshot: the anomaly that triggered it plus
@@ -23,37 +26,25 @@ type Dump struct {
 	Spans   []Span   // content-sorted causal chain
 }
 
-// Binary dump format, mirroring the internal/trace chunk framing:
-//
-//	dump    := magic(8) version(u32) chunk*
-//	magic   := "SAIYFLT\x00"
-//	chunk   := type(u8) length(u32) payload(length bytes) crc32(u32)
-//
-// All integers little-endian; the CRC-32 (IEEE) covers type, length,
-// and payload. Chunk types: 1 header (JSON dumpHeader, first), 2 span
-// (one fixed-size binary span), 3 trailer (u64 span count, last).
-const (
-	dumpMagic   = "SAIYFLT\x00"
-	dumpVersion = 1
+// A binary dump is a document of the shared chunk envelope; internal/chunk
+// states the grammar (prelude, CRC-framed chunks, header first, counted
+// trailer last, unknown chunk types skipped). What is the dump's own: the
+// magic "SAIYFLT\x00", a JSON dumpHeader as the header, one fixed-size
+// binary span per body, and a 1 MiB payload bound — dumps are small and
+// the header is the only variable-size chunk.
+var dumpFormat = chunk.Format{Magic: "SAIYFLT\x00", Version: 1, MaxPayload: 1 << 20}
 
-	chunkHeader  = 1
-	chunkSpan    = 2
-	chunkTrailer = 3
+// spanWire is the encoded size of one span record.
+const spanWire = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 8 + 8
 
-	// spanWire is the encoded size of one span record.
-	spanWire = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 8 + 8
-
-	// maxDumpChunk bounds one chunk payload when decoding (1 MiB —
-	// dumps are small; the header is the only variable-size chunk).
-	maxDumpChunk = 1 << 20
-)
-
-// Sentinel errors; test with errors.Is.
+// Sentinel errors, shared with every format built on internal/chunk;
+// test with errors.Is.
 var (
-	// ErrCorrupt marks structural damage in an encoded dump.
-	ErrCorrupt = errors.New("flight: corrupt dump")
+	// ErrCorrupt marks structural damage in an encoded dump, including a
+	// dump cut short: a dump travels whole, so a cut is damage.
+	ErrCorrupt = chunk.ErrCorrupt
 	// ErrVersion marks a dump version this package does not know.
-	ErrVersion = errors.New("flight: unsupported dump version")
+	ErrVersion = chunk.ErrVersion
 )
 
 // dumpHeader is the JSON metadata chunk of an encoded dump.
@@ -65,16 +56,6 @@ type dumpHeader struct {
 	Tag     int      `json:"tag"`
 	Seq     uint64   `json:"seq,omitempty"`
 	Traces  []string `json:"traces"`
-}
-
-// appendChunk frames one payload with the type/length/CRC envelope.
-func appendChunk(dst []byte, typ byte, payload []byte) []byte {
-	at := len(dst)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[at:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // EncodeDump serializes d into the chunked binary form, appending to
@@ -94,17 +75,12 @@ func EncodeDump(dst []byte, d Dump) []byte {
 		// infallible like trace record encoding.
 		panic("flight: header marshal: " + err.Error())
 	}
-	dst = append(dst, dumpMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, dumpVersion)
-	dst = appendChunk(dst, chunkHeader, hdr)
+	dst = chunk.Append(dumpFormat.AppendPrelude(dst), chunk.TypeHeader, hdr)
 	var buf [spanWire]byte
 	for _, s := range d.Spans {
-		encodeSpan(buf[:0], s)
-		dst = appendChunk(dst, chunkSpan, buf[:spanWire])
+		dst = chunk.Append(dst, chunk.TypeBody, encodeSpan(buf[:0], s))
 	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(len(d.Spans)))
-	return appendChunk(dst, chunkTrailer, trailer[:])
+	return chunk.AppendTrailer(dst, uint64(len(d.Spans)))
 }
 
 // encodeSpan writes the fixed-size binary form of s into dst[:spanWire].
@@ -125,20 +101,13 @@ func encodeSpan(dst []byte, s Span) []byte {
 
 // decodeSpan parses one span-chunk payload.
 func decodeSpan(buf []byte) (Span, error) {
-	if len(buf) != spanWire {
-		return Span{}, fmt.Errorf("%w: span chunk is %d bytes, want %d", ErrCorrupt, len(buf), spanWire)
+	d := chunk.NewDecoder(buf)
+	s := Span{
+		Trace: d.U64(), Seq: d.U32(), Epoch: d.U32(), Tag: d.U16(), Channel: d.U16(),
+		Stage: Stage(d.U8()), Decision: Decision(d.U8()),
+		A: math.Float64frombits(d.U64()), B: math.Float64frombits(d.U64()),
 	}
-	var s Span
-	s.Trace = binary.LittleEndian.Uint64(buf[0:])
-	s.Seq = binary.LittleEndian.Uint32(buf[8:])
-	s.Epoch = binary.LittleEndian.Uint32(buf[12:])
-	s.Tag = binary.LittleEndian.Uint16(buf[16:])
-	s.Channel = binary.LittleEndian.Uint16(buf[18:])
-	s.Stage = Stage(buf[20])
-	s.Decision = Decision(buf[21])
-	s.A = math.Float64frombits(binary.LittleEndian.Uint64(buf[22:]))
-	s.B = math.Float64frombits(binary.LittleEndian.Uint64(buf[30:]))
-	return s, nil
+	return s, d.Done()
 }
 
 // DecodeDump parses an EncodeDump stream back into a Dump. Unknown
@@ -146,85 +115,48 @@ func decodeSpan(buf []byte) (Span, error) {
 // stay backward compatible.
 func DecodeDump(buf []byte) (Dump, error) {
 	var d Dump
-	if len(buf) < len(dumpMagic)+4 {
-		return d, fmt.Errorf("%w: short prelude", ErrCorrupt)
+	doc, header, err := dumpFormat.Open(bytes.NewReader(buf))
+	if err != nil {
+		return d, corruptIfCut(err)
 	}
-	if string(buf[:len(dumpMagic)]) != dumpMagic {
-		return d, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	var h dumpHeader
+	if err := json.Unmarshal(header, &h); err != nil {
+		return d, fmt.Errorf("%w: malformed header: %v", ErrCorrupt, err)
 	}
-	if v := binary.LittleEndian.Uint32(buf[len(dumpMagic):]); v != dumpVersion {
-		return d, fmt.Errorf("%w: %d", ErrVersion, v)
+	d.ID, d.Kind = h.ID, h.Kind
+	d.Epoch, d.Channel, d.Tag, d.Seq = h.Epoch, h.Channel, h.Tag, h.Seq
+	d.Traces = make([]uint64, 0, len(h.Traces))
+	for _, ts := range h.Traces {
+		t, ok := ParseTrace(ts)
+		if !ok {
+			return d, fmt.Errorf("%w: malformed trace id %q", ErrCorrupt, ts)
+		}
+		d.Traces = append(d.Traces, t)
 	}
-	at := len(dumpMagic) + 4
-	sawHeader, sawTrailer := false, false
-	var count uint64
-	for at < len(buf) {
-		if sawTrailer {
-			return d, fmt.Errorf("%w: %d stray bytes after trailer", ErrCorrupt, len(buf)-at)
+	for {
+		payload, err := doc.Next()
+		if err == io.EOF {
+			return d, nil
 		}
-		if len(buf)-at < 5 {
-			return d, fmt.Errorf("%w: truncated chunk frame", ErrCorrupt)
+		if err != nil {
+			return d, corruptIfCut(err)
 		}
-		typ := buf[at]
-		n := binary.LittleEndian.Uint32(buf[at+1:])
-		if n > maxDumpChunk {
-			return d, fmt.Errorf("%w: chunk length %d exceeds limit", ErrCorrupt, n)
+		s, err := decodeSpan(payload)
+		if err != nil {
+			return d, err
 		}
-		end := at + 5 + int(n)
-		if end+4 > len(buf) {
-			return d, fmt.Errorf("%w: chunk overruns dump", ErrCorrupt)
-		}
-		if got, want := crc32.ChecksumIEEE(buf[at:end]), binary.LittleEndian.Uint32(buf[end:]); got != want {
-			return d, fmt.Errorf("%w: chunk CRC mismatch", ErrCorrupt)
-		}
-		payload := buf[at+5 : end]
-		at = end + 4
-		switch typ {
-		case chunkHeader:
-			if sawHeader {
-				return d, fmt.Errorf("%w: duplicate header chunk", ErrCorrupt)
-			}
-			var h dumpHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return d, fmt.Errorf("%w: malformed header: %v", ErrCorrupt, err)
-			}
-			d.ID, d.Kind = h.ID, h.Kind
-			d.Epoch, d.Channel, d.Tag, d.Seq = h.Epoch, h.Channel, h.Tag, h.Seq
-			d.Traces = make([]uint64, 0, len(h.Traces))
-			for _, ts := range h.Traces {
-				t, ok := ParseTrace(ts)
-				if !ok {
-					return d, fmt.Errorf("%w: malformed trace id %q", ErrCorrupt, ts)
-				}
-				d.Traces = append(d.Traces, t)
-			}
-			sawHeader = true
-		case chunkSpan:
-			if !sawHeader {
-				return d, fmt.Errorf("%w: span before header", ErrCorrupt)
-			}
-			s, err := decodeSpan(payload)
-			if err != nil {
-				return d, err
-			}
-			d.Spans = append(d.Spans, s)
-		case chunkTrailer:
-			if len(payload) != 8 {
-				return d, fmt.Errorf("%w: trailer is %d bytes, want 8", ErrCorrupt, len(payload))
-			}
-			count = binary.LittleEndian.Uint64(payload)
-			sawTrailer = true
-		default:
-			// Skip unknown-but-intact chunks.
-		}
+		d.Spans = append(d.Spans, s)
 	}
-	if !sawHeader || !sawTrailer {
-		return d, fmt.Errorf("%w: missing header or trailer", ErrCorrupt)
+}
+
+// corruptIfCut reports a dump that ended early as ErrCorrupt: DecodeDump
+// holds the whole dump, so a missing tail is damage, not a stream still
+// arriving.
+func corruptIfCut(err error) error {
+	if errors.Is(err, chunk.ErrTruncated) {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if count != uint64(len(d.Spans)) {
-		return d, fmt.Errorf("%w: trailer count %d != %d spans", ErrCorrupt, count, len(d.Spans))
-	}
-	return d, nil
+	return err
 }
 
 // spanJSON is the rendered form of one span for /flight and watch.

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -422,4 +423,61 @@ func TestAppendZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil Append allocates %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// TestDumpBytesPinned pins the exact bytes of one fixed EncodeDump output:
+// the prelude, the JSON header chunk, two span chunks and the trailer.
+func TestDumpBytesPinned(t *testing.T) {
+	d := Dump{
+		ID: 3, Kind: KindHop, Epoch: 7, Channel: 2, Tag: 4, Seq: 99,
+		Traces: []uint64{0xabc},
+		Spans: []Span{
+			{Trace: 0xabc, Seq: 9, Epoch: 7, Tag: 4, Channel: 2, Stage: StageSegment, Decision: WindowMatched, A: -85.25, B: 4096},
+			{Trace: 0xabc, Seq: 9, Epoch: 7, Tag: 4, Channel: 2, Stage: StageControl, Decision: Hop, A: 2},
+		},
+	}
+	const want = "53414959464c540001000000" + // prelude
+		"01560000007b226964223a332c226b696e64223a342c2265706f6368223a372c226368616e6e656c223a322c22746167223a342c22736571223a39392c22747261636573223a5b2230303030303030303030303030616263225d7df9a6f615" + // header
+		"0226000000bc0a000000000000090000000700000004000200010100000000005055c0000000000000b04031f9264d" + // span
+		"0226000000bc0a00000000000009000000070000000400020004090000000000000040000000000000000007a8039c" + // span
+		"03080000000200000000000000cf5b97f6" // trailer
+	if got := hex.EncodeToString(EncodeDump(nil, d)); got != want {
+		t.Fatalf("dump bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// FuzzDecodeDump feeds arbitrary bytes to DecodeDump, the decoder wire
+// subscribers run on every flight message. It may only fail with
+// ErrCorrupt or ErrVersion, never panic, and whatever it accepts must
+// re-encode to a canonical form that decodes to the same bytes again.
+func FuzzDecodeDump(f *testing.F) {
+	f.Add(EncodeDump(nil, Dump{
+		ID: 3, Kind: KindHop, Epoch: 7, Channel: 2, Tag: 4, Seq: 99,
+		Traces: []uint64{1, TraceID(7, 2, 4, 99)},
+		Spans: []Span{
+			{Trace: 1, Seq: 9, Epoch: 7, Tag: 4, Channel: 2, Stage: StageSegment, Decision: WindowMatched, A: -85.25, B: 4096},
+			{Trace: 1, Stage: StageControl, Decision: Hop, A: math.NaN()},
+		},
+	}))
+	f.Add(EncodeDump(nil, Dump{ID: 1, Kind: KindOperator}))
+	f.Add([]byte("SAIYFLT\x00\x01\x00\x00\x00"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDump(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		canon := EncodeDump(nil, d)
+		again, err := DecodeDump(canon)
+		if err != nil {
+			t.Fatalf("re-encoded dump does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeDump(nil, again), canon) {
+			t.Fatal("re-encoded dump is not canonical")
+		}
+	})
 }

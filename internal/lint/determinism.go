@@ -8,8 +8,9 @@ import (
 )
 
 // snapshotPackages are the packages whose outputs (decoded symbols,
-// snapshots, traces, cycle ledgers) must be byte-identical at any worker
-// count. The determinism analyzer applies only inside them; the last
+// snapshots, traces, cycle ledgers, and the chunk framing that golden
+// traces and flight dumps must reproduce exactly) must be byte-identical
+// at any worker count. The determinism analyzer applies only inside them; the last
 // import-path element decides membership so the rule survives module
 // renames and applies to testdata fixtures.
 var snapshotPackages = map[string]bool{
@@ -20,6 +21,7 @@ var snapshotPackages = map[string]bool{
 	"gateway":  true,
 	"fxp":      true,
 	"trace":    true,
+	"chunk":    true,
 }
 
 // Determinism flags the four ways wall-clock and scheduler state leak

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/gateway"
 )
 
@@ -31,7 +32,7 @@ func newCaptureWriter(path string) (*captureWriter, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	if err := writePrelude(w); err != nil {
+	if err := wire.WritePrelude(w); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -45,7 +46,7 @@ func (c *captureWriter) Write(ev gateway.FrameEvent) {
 	if c.err != nil {
 		return
 	}
-	c.err = writeMsg(c.w, msgFrame, encodeFrameEvent(make([]byte, 0, frameEventBytes), ev))
+	c.err = chunk.Write(c.w, msgFrame, encodeFrameEvent(make([]byte, 0, frameEventBytes), ev))
 }
 
 func (c *captureWriter) Close() error {
@@ -65,8 +66,8 @@ func (c *captureWriter) Close() error {
 
 // ReadCapture loads every frame event of a capture file recorded by the
 // server's captureStart control. Events decoded before a truncation are
-// returned alongside ErrTruncated, mirroring internal/trace's partial-read
-// contract.
+// returned alongside ErrTruncated, the partial-read contract of
+// internal/chunk.
 func ReadCapture(path string) ([]gateway.FrameEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -74,12 +75,12 @@ func ReadCapture(path string) ([]gateway.FrameEvent, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	if err := readPrelude(r); err != nil {
+	if err := wire.ReadPrelude(r); err != nil {
 		return nil, fmt.Errorf("server: capture %s: %w", path, err)
 	}
 	var events []gateway.FrameEvent
 	for {
-		typ, payload, err := readMsg(r)
+		typ, payload, err := wire.Read(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return events, nil

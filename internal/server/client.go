@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/flight"
 	"saiyan/internal/gateway"
 	"saiyan/internal/health"
@@ -115,15 +116,15 @@ func Dial(addr string) (*Client, error) {
 func handshake(conn net.Conn) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReader(conn)}
 	conn.SetDeadline(time.Now().Add(clientIOTimeout))
-	if err := writePrelude(conn); err != nil {
+	if err := wire.WritePrelude(conn); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if err := readPrelude(c.r); err != nil {
+	if err := wire.ReadPrelude(c.r); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	typ, payload, err := readMsg(c.r)
+	typ, payload, err := wire.Read(c.r)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -154,7 +155,7 @@ func (c *Client) write(typ byte, payload []byte) error {
 	// stalled server fails the control call instead of blocking it
 	// forever. Write deadlines do not disturb a concurrent Next.
 	c.conn.SetWriteDeadline(time.Now().Add(clientIOTimeout))
-	err := writeMsg(c.conn, typ, payload)
+	err := chunk.Write(c.conn, typ, payload)
 	c.conn.SetWriteDeadline(time.Time{})
 	return err
 }
@@ -231,7 +232,7 @@ func (c *Client) StopCapture() error { return c.write(msgCaptureStop, nil) }
 // EventError instead of a bye, then closes.
 func (c *Client) Next() (Event, error) {
 	for {
-		typ, payload, err := readMsg(c.r)
+		typ, payload, err := wire.Read(c.r)
 		if err != nil {
 			return Event{}, err
 		}

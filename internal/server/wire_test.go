@@ -2,45 +2,47 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/gateway"
 )
 
 func TestMsgRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, msgEpoch, []byte(`{"epoch":1}`)); err != nil {
+	if err := chunk.Write(&buf, msgEpoch, []byte(`{"epoch":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(&buf, msgBye, nil); err != nil {
+	if err := chunk.Write(&buf, msgBye, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(buf.Bytes())
-	typ, payload, err := readMsg(r)
+	typ, payload, err := wire.Read(r)
 	if err != nil || typ != msgEpoch || string(payload) != `{"epoch":1}` {
 		t.Fatalf("first message: typ=0x%02x payload=%q err=%v", typ, payload, err)
 	}
-	typ, payload, err = readMsg(r)
+	typ, payload, err = wire.Read(r)
 	if err != nil || typ != msgBye || len(payload) != 0 {
 		t.Fatalf("second message: typ=0x%02x payload=%q err=%v", typ, payload, err)
 	}
-	if _, _, err := readMsg(r); err != io.EOF {
+	if _, _, err := wire.Read(r); err != io.EOF {
 		t.Fatalf("after last message: %v, want io.EOF", err)
 	}
 }
 
 func TestMsgCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, msgFrame, []byte("payload")); err != nil {
+	if err := chunk.Write(&buf, msgFrame, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 
 	// Every truncation point inside the message is ErrTruncated.
 	for cut := 1; cut < len(full); cut++ {
-		_, _, err := readMsg(bytes.NewReader(full[:cut]))
+		_, _, err := wire.Read(bytes.NewReader(full[:cut]))
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
 		}
@@ -51,7 +53,7 @@ func TestMsgCorruption(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), full...)
 			mut[i] ^= 1 << bit
-			_, _, err := readMsg(bytes.NewReader(mut))
+			_, _, err := wire.Read(bytes.NewReader(mut))
 			if err == nil {
 				// A flip inside the length field can make the message
 				// longer than the buffer — that reads as truncated.
@@ -66,26 +68,26 @@ func TestMsgCorruption(t *testing.T) {
 
 func TestPreludeVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writePrelude(&buf); err != nil {
+	if err := wire.WritePrelude(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := readPrelude(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := wire.ReadPrelude(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 	// Wrong version.
 	mut := append([]byte(nil), buf.Bytes()...)
 	mut[len(mut)-4] ^= 0xFF
-	if err := readPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("bad version: %v, want ErrVersion", err)
 	}
 	// Wrong magic.
 	mut = append([]byte(nil), buf.Bytes()...)
 	mut[0] ^= 0xFF
-	if err := readPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v, want ErrCorrupt", err)
 	}
 	// Short prelude.
-	if err := readPrelude(bytes.NewReader(mut[:5])); !errors.Is(err, ErrTruncated) {
+	if err := wire.ReadPrelude(bytes.NewReader(mut[:5])); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short prelude: %v, want ErrTruncated", err)
 	}
 }
@@ -169,9 +171,9 @@ func mustEncodeString(t *testing.T, s string) []byte {
 func decodeAny(typ byte, payload []byte) error {
 	switch typ {
 	case msgSubscribe:
-		d := &decoder{buf: payload}
-		d.u8()
-		return d.done()
+		d := chunk.NewDecoder(payload)
+		d.U8()
+		return d.Done()
 	case msgPause, msgResume, msgCaptureStop, msgBye:
 		return nil
 	case msgRateOverride:
@@ -199,19 +201,19 @@ func decodeAny(typ byte, payload []byte) error {
 // errors; nothing may panic.
 func FuzzWireFrame(f *testing.F) {
 	var seed bytes.Buffer
-	writePrelude(&seed)
-	writeMsg(&seed, msgSubscribe, []byte{subFrames | subMetrics})
-	writeMsg(&seed, msgRateOverride, encodeRateOverride(2, 3))
+	wire.WritePrelude(&seed)
+	chunk.Write(&seed, msgSubscribe, []byte{subFrames | subMetrics})
+	chunk.Write(&seed, msgRateOverride, encodeRateOverride(2, 3))
 	plan, _ := encodeChannelPlan([]TagMove{{Tag: 1, Channel: 1}})
-	writeMsg(&seed, msgChannelPlan, plan)
+	chunk.Write(&seed, msgChannelPlan, plan)
 	path, _ := encodeString("cap.bin")
-	writeMsg(&seed, msgCaptureStart, path)
-	writeMsg(&seed, msgFrame, encodeFrameEvent(nil, gateway.FrameEvent{Epoch: 1, Tag: 3, Seq: 9, SymbolErrs: -1}))
-	writeMsg(&seed, msgBye, nil)
+	chunk.Write(&seed, msgCaptureStart, path)
+	chunk.Write(&seed, msgFrame, encodeFrameEvent(nil, gateway.FrameEvent{Epoch: 1, Tag: 3, Seq: 9, SymbolErrs: -1}))
+	chunk.Write(&seed, msgBye, nil)
 	full := seed.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)-3])
-	f.Add([]byte(wireMagic))
+	f.Add([]byte(wire.Magic))
 	mut := append([]byte(nil), full...)
 	mut[20] ^= 0x10
 	f.Add(mut)
@@ -223,17 +225,17 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		if err := readPrelude(r); err != nil {
+		if err := wire.ReadPrelude(r); err != nil {
 			if !allowed(err) {
 				t.Fatalf("prelude: unexpected error type: %v", err)
 			}
 			return
 		}
 		for {
-			typ, payload, err := readMsg(r)
+			typ, payload, err := wire.Read(r)
 			if err != nil {
 				if !allowed(err) {
-					t.Fatalf("readMsg: unexpected error type: %v", err)
+					t.Fatalf("wire.Read: unexpected error type: %v", err)
 				}
 				return
 			}
@@ -242,4 +244,37 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWireBytesPinned pins the exact bytes of one fixed message stream —
+// prelude, subscribe, frame event, bye — so no refactor of the framing can
+// change what goes on the wire.
+func TestWireBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := wire.WritePrelude(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ev := gateway.FrameEvent{
+		Epoch: 7, Channel: 2, Tag: 5, RateK: 3, Seq: 0x0102030405,
+		Retransmit: true, Correct: true, SymbolErrs: -2, OffsetSamples: 123456, RSSDBm: -97.5,
+	}
+	for _, m := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{msgSubscribe, []byte{subFrames | subHealth}},
+		{msgFrame, encodeFrameEvent(nil, ev)},
+		{msgBye, nil},
+	} {
+		if err := chunk.Write(&buf, m.typ, m.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "534149595749520004000000" + // prelude
+		"01010000000912e3223e" + // subscribe
+		"112700000007000000020500000003050403020100000005feffffff40e201000000000000000000006058c09267e6fc" + // frame event
+		"16000000003f958229" // bye
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("wire bytes changed:\n got %s\nwant %s", got, want)
+	}
 }

@@ -2,35 +2,35 @@ package trace
 
 import (
 	"bufio"
+	"compress/flate"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"saiyan/internal/chunk"
 )
 
 // Reader streams records out of a trace. It transparently decompresses
-// gzip input (sniffed from the stream's first bytes), verifies every
-// chunk's CRC, skips unknown chunk types, and distinguishes a clean end
-// (trailer chunk then io.EOF) from a truncated file (ErrTruncated).
+// gzip input (sniffed from the stream's first bytes) and reads the chunk
+// document through internal/chunk, which verifies every CRC, skips unknown
+// chunk types, and tells a clean end (trailer, then io.EOF) from a
+// truncated file (ErrTruncated).
 type Reader struct {
-	br     *bufio.Reader
-	gz     *gzip.Reader
-	file   io.Closer // underlying file when opened via Open
-	hdr    Header
-	frames uint64 // frame records delivered
-	done   bool   // trailer seen
-	err    error  // sticky terminal state (io.EOF, ErrTruncated, ...)
+	doc  *chunk.Document
+	gz   *gzip.Reader
+	file io.Closer // underlying file when opened via Open
+	hdr  Header
+	err  error // sticky terminal state (io.EOF, ErrTruncated, ...)
 }
 
 // NewReader opens a trace stream, reading the prelude and header chunk
 // before returning. The caller keeps ownership of r.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{br: bufio.NewReader(r)}
-	if err := tr.begin(); err != nil {
+	tr := &Reader{}
+	if err := tr.begin(r); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -43,85 +43,68 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Reader{br: bufio.NewReader(f), file: f}
-	if err := tr.begin(); err != nil {
+	tr := &Reader{file: f}
+	if err := tr.begin(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return tr, nil
 }
 
-// begin sniffs gzip, validates magic and version, and parses the header.
-func (r *Reader) begin() error {
-	if sig, err := r.br.Peek(2); err == nil && sig[0] == 0x1f && sig[1] == 0x8b {
-		gz, err := gzip.NewReader(r.br)
+// begin sniffs gzip, then opens the chunk document and parses its header.
+func (r *Reader) begin(src io.Reader) error {
+	br := bufio.NewReader(src)
+	in := io.Reader(br)
+	if sig, err := br.Peek(2); err == nil && sig[0] == 0x1f && sig[1] == 0x8b {
+		gz, err := gzip.NewReader(br)
 		if err != nil {
 			return fmt.Errorf("%w: gzip layer: %v", ErrCorrupt, err)
 		}
 		r.gz = gz
-		r.br = bufio.NewReader(gz)
+		in = bufio.NewReader(gz)
 	}
-	var pre [12]byte
-	if _, err := io.ReadFull(r.br, pre[:]); err != nil {
-		return fmt.Errorf("%w: reading prelude: %v", ErrTruncated, err)
-	}
-	if string(pre[:8]) != magic {
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, pre[:8])
-	}
-	if v := binary.LittleEndian.Uint32(pre[8:]); v != Version {
-		return fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
-	}
-	typ, payload, err := r.readChunk()
-	if err == io.EOF {
-		return fmt.Errorf("%w: stream ended before the header chunk", ErrTruncated)
+	doc, header, err := format.Open(typedReader{in})
+	if errors.Is(err, ErrVersion) && r.gz != nil {
+		// A version field that the gzip layer's own checksum disowns is
+		// damage, not a newer format: read on to let gzip judge it.
+		if _, zerr := io.Copy(io.Discard, typedReader{in}); errors.Is(zerr, ErrCorrupt) {
+			err = zerr
+		}
 	}
 	if err != nil {
 		return err
 	}
-	if typ != chunkHeader {
-		return fmt.Errorf("%w: first chunk type %d, want header", ErrCorrupt, typ)
-	}
-	if err := json.Unmarshal(payload, &r.hdr); err != nil {
+	if err := json.Unmarshal(header, &r.hdr); err != nil {
 		return fmt.Errorf("%w: decoding header: %v", ErrCorrupt, err)
 	}
+	r.doc = doc
 	return nil
+}
+
+// typedReader gives every read failure of a trace's byte source one of the
+// package sentinels, so no untyped error escapes the reader: damage the
+// gzip layer detects is ErrCorrupt, and any other failure reads as if the
+// file had been cut there, ErrTruncated. End of stream passes through for
+// the chunk reader to judge.
+type typedReader struct{ r io.Reader }
+
+func (t typedReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return n, err
+	}
+	var flateErr flate.CorruptInputError
+	if errors.As(err, &flateErr) || errors.Is(err, gzip.ErrChecksum) || errors.Is(err, gzip.ErrHeader) {
+		return n, fmt.Errorf("%w: gzip layer: %v", ErrCorrupt, err)
+	}
+	return n, fmt.Errorf("%w: %v", ErrTruncated, err)
 }
 
 // Header returns the trace metadata.
 func (r *Reader) Header() Header { return r.hdr }
 
 // Frames returns the number of records delivered so far.
-func (r *Reader) Frames() uint64 { return r.frames }
-
-// readChunk reads and CRC-verifies one chunk. io.EOF at a chunk boundary
-// is returned as-is; any other short read becomes ErrTruncated.
-func (r *Reader) readChunk() (byte, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r.br, head[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: reading chunk type: %v", ErrTruncated, err)
-	}
-	if _, err := io.ReadFull(r.br, head[1:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading chunk length: %v", ErrTruncated, err)
-	}
-	n := binary.LittleEndian.Uint32(head[1:])
-	if n > maxChunkBytes {
-		return 0, nil, fmt.Errorf("%w: chunk of %d bytes exceeds the %d byte limit", ErrCorrupt, n, maxChunkBytes)
-	}
-	body := make([]byte, n+4) // payload + crc
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading chunk body: %v", ErrTruncated, err)
-	}
-	payload := body[:n]
-	crc := crc32.ChecksumIEEE(head[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(body[n:]); got != crc {
-		return 0, nil, fmt.Errorf("%w: chunk CRC %08x, computed %08x", ErrCorrupt, got, crc)
-	}
-	return head[0], payload, nil
-}
+func (r *Reader) Frames() uint64 { return r.doc.Count() }
 
 // Next returns the next frame record. It returns io.EOF after a complete
 // trace has been drained, ErrTruncated when the stream ends before its
@@ -131,63 +114,22 @@ func (r *Reader) Next() (*Record, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	for {
-		typ, payload, err := r.readChunk()
-		if err == io.EOF {
-			// Ran off the end without a trailer: the file was cut at a
-			// chunk boundary.
-			r.err = fmt.Errorf("%w: stream ended after %d records without a trailer", ErrTruncated, r.frames)
-			return nil, r.err
-		}
-		if err != nil {
-			r.err = err
-			return nil, r.err
-		}
-		switch typ {
-		case chunkFrame:
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				r.err = err
-				return nil, r.err
-			}
-			r.frames++
-			return rec, nil
-		case chunkTrailer:
-			if len(payload) != 8 {
-				r.err = fmt.Errorf("%w: trailer payload %d bytes, want 8", ErrCorrupt, len(payload))
-				return nil, r.err
-			}
-			if declared := binary.LittleEndian.Uint64(payload); declared != r.frames {
-				r.err = fmt.Errorf("%w: trailer declares %d records, read %d", ErrCorrupt, declared, r.frames)
-				return nil, r.err
-			}
-			// The trailer must be the last chunk: trailing bytes mean a
-			// mangled file (e.g. two traces concatenated), not a clean end.
-			// The peek also forces the gzip layer to validate its own
-			// checksum trailer.
-			if _, err := r.br.Peek(1); err == nil {
-				r.err = fmt.Errorf("%w: data after the trailer chunk", ErrCorrupt)
-				return nil, r.err
-			} else if err != io.EOF {
-				r.err = fmt.Errorf("%w: reading past the trailer: %v", ErrCorrupt, err)
-				return nil, r.err
-			}
-			r.done = true
-			r.err = io.EOF
-			return nil, io.EOF
-		case chunkHeader:
-			r.err = fmt.Errorf("%w: duplicate header chunk", ErrCorrupt)
-			return nil, r.err
-		default:
-			// Unknown chunk type with a valid CRC: a forward-compatible
-			// addition. Skip it.
-		}
+	payload, err := r.doc.Next()
+	if err != nil {
+		r.err = err
+		return nil, err
 	}
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		r.err = err
+		return nil, err
+	}
+	return rec, nil
 }
 
 // Complete reports whether the trailer was reached, i.e. the trace was
 // read to a clean end.
-func (r *Reader) Complete() bool { return r.done }
+func (r *Reader) Complete() bool { return r.err == io.EOF }
 
 // Close releases the gzip layer and the underlying file when the Reader
 // owns it.

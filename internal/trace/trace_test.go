@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"saiyan/internal/chunk"
 	"saiyan/internal/core"
 	"saiyan/internal/radio"
 )
@@ -212,6 +216,37 @@ func TestCorruption(t *testing.T) {
 	}
 }
 
+// TestGzipCorruptionTyped flips each byte of a gzip-compressed trace past
+// the gzip header. Every flip must come back as ErrCorrupt or ErrTruncated,
+// never as an untyped error of the decompression layer, and a flip that
+// makes decompression itself fail (corrupt deflate data, a gzip checksum
+// mismatch) must be ErrCorrupt: the file is damaged, not cut short.
+func TestGzipCorruptionTyped(t *testing.T) {
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write(encodeTrace(t, testHeader(), testRecords()))
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	const gzipHeaderBytes = 10
+	for pos := gzipHeaderBytes; pos < len(data); pos++ {
+		mut := append([]byte(nil), data...)
+		mut[pos] ^= 0xff
+		_, _, err := readAll(t, mut)
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("flip at byte %d/%d: err=%v, want ErrCorrupt or ErrTruncated", pos, len(data), err)
+		}
+		zr, zerr := gzip.NewReader(bytes.NewReader(mut))
+		if zerr == nil {
+			_, zerr = io.Copy(io.Discard, zr)
+		}
+		if zerr != nil && zerr != io.ErrUnexpectedEOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at byte %d/%d: decompression fails with %v, reader gives %v, want ErrCorrupt", pos, len(data), zerr, err)
+		}
+	}
+}
+
 // TestHostileElementCount verifies a crafted frame chunk (valid CRC,
 // absurd element count) surfaces ErrCorrupt — never an overflowed bounds
 // check, allocation bomb, or panic, on any platform word size.
@@ -226,7 +261,7 @@ func TestHostileElementCount(t *testing.T) {
 		// then a payload element count with no elements behind it.
 		payload := make([]byte, 29)
 		payload = append(payload, byte(count), byte(count>>8), byte(count>>16), byte(count>>24))
-		if err := w.writeChunk(chunkFrame, payload); err != nil {
+		if err := w.writeChunk(chunk.TypeBody, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -394,4 +429,76 @@ func TestWriteAfterClose(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Error("second Close cleared the sticky error")
 	}
+}
+
+// TestGoldenTraceBytes is a byte-level oracle for the writer: the checked-in
+// golden trace, decompressed, must be exactly what NewWriter produces for
+// its own header and records. It pins the on-disk format independently of
+// any round trip through this package's reader.
+func TestGoldenTraceBytes(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "pipeline", "testdata", "golden.trace.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	w, err := NewWriter(&got, r.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Frames() == 0 {
+		t.Fatal("golden trace holds no records")
+	}
+	// The golden header predates configuration fields added since, so its
+	// JSON is shorter than a fresh encoding of the same Header; every other
+	// byte (prelude, record chunks, trailer) must match exactly.
+	gotPre, gotRest := splitHeaderChunk(t, got.Bytes())
+	wantPre, wantRest := splitHeaderChunk(t, want)
+	if !bytes.Equal(gotPre, wantPre) {
+		t.Fatalf("prelude % x, golden % x", gotPre, wantPre)
+	}
+	if !bytes.Equal(gotRest, wantRest) {
+		t.Fatalf("re-encoded golden records differ: %d bytes, golden %d", len(gotRest), len(wantRest))
+	}
+}
+
+// splitHeaderChunk cuts a raw trace into its 12-byte prelude and whatever
+// follows the header chunk.
+func splitHeaderChunk(t *testing.T, b []byte) (prelude, rest []byte) {
+	t.Helper()
+	if len(b) < 17 || b[12] != 1 {
+		t.Fatalf("no header chunk after the prelude")
+	}
+	end := 17 + int(binary.LittleEndian.Uint32(b[13:17])) + 4
+	if end > len(b) {
+		t.Fatalf("header chunk overruns the trace")
+	}
+	return b[:12], b[end:]
 }

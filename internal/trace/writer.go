@@ -2,14 +2,14 @@ package trace
 
 import (
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strings"
+
+	"saiyan/internal/chunk"
 )
 
 // Writer streams a trace: header first, then records in the order
@@ -59,30 +59,22 @@ func Create(path string, hdr Header) (*Writer, error) {
 
 // begin emits the stream prelude and header chunk.
 func (w *Writer) begin(hdr Header) error {
-	var pre [12]byte
-	copy(pre[:], magic)
-	binary.LittleEndian.PutUint32(pre[8:], Version)
-	if _, err := w.w.Write(pre[:]); err != nil {
+	if err := format.WritePrelude(w.w); err != nil {
 		return err
 	}
 	payload, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("trace: encoding header: %w", err)
 	}
-	return w.writeChunk(chunkHeader, payload)
+	return w.writeChunk(chunk.TypeHeader, payload)
 }
 
 // writeChunk frames one chunk with its CRC.
 func (w *Writer) writeChunk(typ byte, payload []byte) error {
-	if len(payload) > maxChunkBytes {
-		return fmt.Errorf("trace: chunk of %d bytes exceeds the %d byte limit", len(payload), maxChunkBytes)
+	if len(payload) > int(format.MaxPayload) {
+		return fmt.Errorf("trace: chunk of %d bytes exceeds the %d byte limit", len(payload), format.MaxPayload)
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, typ)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = append(w.buf, payload...)
-	crc := crc32.ChecksumIEEE(w.buf)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
+	w.buf = chunk.Append(w.buf[:0], typ, payload)
 	_, err := w.w.Write(w.buf)
 	return err
 }
@@ -98,7 +90,7 @@ func (w *Writer) WriteRecord(r *Record) error {
 		return w.err
 	}
 	payload := encodeRecord(nil, r)
-	if err := w.writeChunk(chunkFrame, payload); err != nil {
+	if err := w.writeChunk(chunk.TypeBody, payload); err != nil {
 		w.err = err
 		return err
 	}
@@ -136,9 +128,8 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	if w.err == nil {
-		var count [8]byte
-		binary.LittleEndian.PutUint64(count[:], w.frames)
-		w.err = w.writeChunk(chunkTrailer, count[:])
+		w.buf = chunk.AppendTrailer(w.buf[:0], w.frames)
+		_, w.err = w.w.Write(w.buf)
 	}
 	if w.gz != nil {
 		if err := w.gz.Close(); err != nil && w.err == nil {

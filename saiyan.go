@@ -247,7 +247,9 @@ type (
 	PipelineSource = pipeline.Source
 )
 
-// Trace error sentinels; test with errors.Is.
+// Trace error sentinels; test with errors.Is. They are the sentinels of
+// the chunk envelope shared by traces, the wire protocol and flight dumps,
+// so each equals its ErrServer* twin.
 var (
 	// ErrTraceCorrupt marks CRC or structural damage in a trace.
 	ErrTraceCorrupt = trace.ErrCorrupt
@@ -489,7 +491,10 @@ const (
 // ServerProtocolVersion is the wire protocol version this build speaks.
 const ServerProtocolVersion = server.Version
 
-// Wire protocol error sentinels; test with errors.Is.
+// Wire protocol error sentinels; test with errors.Is. ErrServerCorrupt,
+// ErrServerTruncated and ErrServerVersion are the shared chunk-envelope
+// sentinels, equal to their ErrTrace* twins; ErrServerUnknownType is the
+// wire's own.
 var (
 	// ErrServerCorrupt marks structural damage on the wire or in a capture
 	// file: bad magic, CRC mismatch, malformed payload.
