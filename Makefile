@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench.txt bench-json golden fuzz fuzz-sweep fmt fmt-check vet lint ci
+.PHONY: build test test-short bench bench.txt bench-json golden perfbench-test fuzz fuzz-sweep fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,17 @@ BENCH_%.json: bench.txt
 
 bench-json: $(BENCH_FAMILIES:%=BENCH_%.json)
 
-# Replay the checked-in golden trace (blocking in CI); regenerate it after
-# an intentional demodulator behavior change with:
+# Replay the checked-in golden traces, ModeFull and vanilla (blocking in
+# CI); regenerate both after an intentional demodulator behavior change with:
 #   go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
 golden:
 	$(GO) test -run 'TestGoldenTraceReplay' -count=1 -v ./internal/pipeline
+
+# The benchmark's own gates (a replay matches its recording, every
+# workload emits every metric), on small workloads. perfbench is its own
+# module, so ./... from the root does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Short fuzz session over the trace codec.
 fuzz:
@@ -91,4 +97,4 @@ lint:
 	$(GO) build -o bin/saiyanvet ./cmd/saiyanvet
 	$(GO) vet -vettool=$(CURDIR)/bin/saiyanvet ./...
 
-ci: build vet lint fmt-check test-short golden
+ci: build vet lint fmt-check test-short golden perfbench-test

@@ -6,6 +6,7 @@ package saiyan_test
 // `go test -bench=Ablation` doubles as a design-space exploration harness.
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"saiyan"
@@ -15,6 +16,15 @@ import (
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
 )
+
+// renderEnvelope renders one trajectory, alone on the antenna, to the
+// sampler-rate envelope (rng=nil for a noise-free render).
+func renderEnvelope(d *core.Demodulator, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
+	x := make([]complex128, len(trajHz))
+	d.ComposeSignal(x, 0, trajHz, rssDBm)
+	env, _ := d.Render(nil, nil, x, rng)
+	return env
+}
 
 // measureSERAt runs payload symbols through a configured demodulator at a
 // fixed RSS and returns the symbol error rate.
@@ -110,7 +120,7 @@ func BenchmarkAblationComparatorChatter(b *testing.B) {
 	run := func(b *testing.B, quantize func([]float64) []bool) {
 		var edges int
 		for i := 0; i < b.N; i++ {
-			env := d.RenderEnvelope(nil, traj, rss, rng)
+			env := renderEnvelope(d, traj, rss, rng)
 			edges = analog.Transitions(quantize(env))
 		}
 		b.ReportMetric(float64(edges)/nSym, "edges/symbol")
@@ -149,7 +159,7 @@ func BenchmarkAblationClockPhase(b *testing.B) {
 			traj := p.FreqTrajectory(nil, 0, d.SimRateHz())
 			var peak float64
 			for i := 0; i < b.N; i++ {
-				env := d.RenderEnvelope(nil, traj, -60, nil)
+				env := renderEnvelope(d, traj, -60, nil)
 				peak = dsp.Max(env)
 			}
 			b.ReportMetric(peak, "peak")

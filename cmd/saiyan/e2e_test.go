@@ -133,10 +133,12 @@ func TestServeWatchE2E(t *testing.T) {
 	}
 	churn.Close()
 
+	// Drain stdout before Wait: Wait closes the pipe, so a read still in
+	// flight would lose the tail of the transcript.
+	<-drained
 	if err := serve.Wait(); err != nil {
 		t.Fatalf("serve exited with %v", err)
 	}
-	<-drained
 
 	transcript := <-watchOut
 	if strings.HasPrefix(transcript, "WATCH-ERROR") {

@@ -69,6 +69,15 @@ func rngFor(seed uint64) *rand.Rand {
 	return saiyan.NewRand(seed, 1)
 }
 
+// renderEnvelope renders one trajectory, alone on the antenna, to the
+// sampler-rate envelope (rng=nil for a noise-free render).
+func renderEnvelope(d *saiyan.Demodulator, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
+	x := make([]complex128, len(trajHz))
+	d.ComposeSignal(x, 0, trajHz, rssDBm)
+	env, _ := d.Render(nil, nil, x, rng)
+	return env
+}
+
 func dumpSAW() {
 	saw := saiyan.PaperSAW()
 	fmt.Println("freq_mhz,response_db")
@@ -90,14 +99,13 @@ func dumpSymbol(cfg saiyan.Config, symbol int, dist float64, seed uint64) {
 	calRng := saiyan.NewRand(7, 7)
 	demod.Calibrate(rss, calRng)
 	traj := p.FreqTrajectory(nil, p.SymbolValue(symbol), demod.SimRateHz())
-	env := demod.RenderEnvelope(nil, traj, rss, rngFor(seed))
+	env := renderEnvelope(demod, traj, rss, rngFor(seed))
 	th := demod.Thresholds()
 	bits := th.Quantize(nil, env)
 
 	fmt.Println("t_us,freq_khz,envelope,comparator")
-	step := int(demod.SimRateHz() / demod.SamplerRateHz())
 	for i, v := range env {
-		simIdx := step/2 + i*step
+		simIdx := demod.SimIndex(i)
 		f := 0.0
 		if simIdx < len(traj) {
 			f = traj[simIdx] / 1000
@@ -131,7 +139,7 @@ func dumpFrame(cfg saiyan.Config, dist float64, seed uint64) {
 		log.Fatal(err)
 	}
 	traj := frame.FreqTrajectory(nil, demod.SimRateHz())
-	env := demod.RenderEnvelope(nil, traj, rss, rngFor(seed))
+	env := renderEnvelope(demod, traj, rss, rngFor(seed))
 	fmt.Println("t_ms,envelope")
 	for i, v := range env {
 		fmt.Printf("%.4f,%.6g\n", float64(i)/demod.SamplerRateHz()*1e3, v)

@@ -18,6 +18,15 @@
 // argument and EXPERIMENTS.md for paper-vs-measured results on every table
 // and figure.
 //
+// As in the hardware, the comparator's sampler and the correlator read one
+// analog envelope: Demodulator.Render runs the chain once per capture (a
+// single frame, or a whole multi-tag timeline built with ComposeSignal)
+// and evaluates the final video filter only on the sampler grid —
+// simulation index Oversample/2 + k·Oversample, see Demodulator.SimIndex —
+// and, in the full mode, on the correlator's finer grid. Frame-mode decode
+// therefore draws one noise realization per frame for detection and
+// payload alike, exactly as stream decode does.
+//
 // # Quick start
 //
 //	cfg := saiyan.DefaultConfig()               // SF7, BW 500 kHz, CR 1, full chain

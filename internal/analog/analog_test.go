@@ -284,45 +284,6 @@ func TestIFAmplifierGain(t *testing.T) {
 	}
 }
 
-func TestSamplerDecimation(t *testing.T) {
-	s, err := NewSampler(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	y := s.SampleFloats(nil, x)
-	want := []float64{2, 6, 10, 14}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d, want %d", len(y), len(want))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("y[%d] = %g, want %g", i, y[i], want[i])
-		}
-	}
-	if s.OutputLen(16) != 4 {
-		t.Errorf("OutputLen(16) = %d, want 4", s.OutputLen(16))
-	}
-	if s.OutputLen(1) != 0 {
-		t.Errorf("OutputLen(1) = %d, want 0", s.OutputLen(1))
-	}
-	b := make([]bool, 16)
-	b[6] = true
-	bs := s.SampleBits(nil, b)
-	if len(bs) != 4 || !bs[1] {
-		t.Errorf("SampleBits = %v, want index 1 true", bs)
-	}
-}
-
-func TestNewSamplerRejectsZero(t *testing.T) {
-	if _, err := NewSampler(0); err == nil {
-		t.Error("zero oversample accepted")
-	}
-}
-
 func TestDefaultConstructors(t *testing.T) {
 	if l := DefaultLNA(); l.GainDB <= 0 || l.NoiseFigureDB <= 0 {
 		t.Error("DefaultLNA not positive")

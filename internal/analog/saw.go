@@ -1,8 +1,9 @@
 // Package analog models Saiyan's analog front end: the SAW filter used as a
 // frequency-to-amplitude converter, the LNA, the square-law envelope
 // detector with its baseband impairments, the RF mixers / IF amplifier /
-// low-pass filter of the cyclic-frequency-shifting circuit, the
-// double-threshold comparator, and the low-rate voltage sampler.
+// low-pass filter of the cyclic-frequency-shifting circuit, and the
+// double-threshold comparator. The low-rate voltage sampler is not a stage
+// here: core evaluates its video filter only on the sampler's grid.
 //
 // Components operate on normalized simulation units: the RF complex
 // envelope is scaled so the front-end thermal noise has unit power, which

@@ -86,7 +86,7 @@ func (d *Demodulator) nominalBias() float64 {
 	saved := d.comparator
 	p := d.cfg.Params
 	traj := p.FreqTrajectory(nil, 0, d.fsSim)
-	env := d.RenderEnvelope(nil, traj, templateNominalRSS, nil)
+	env, _ := d.Render(nil, nil, d.antenna(traj, templateNominalRSS), nil)
 	floor := dsp.Min(env)
 	peak := dsp.Max(env)
 	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
@@ -119,16 +119,12 @@ func (d *Demodulator) autoBootstrap(env []float64, agc AGCConfig) {
 // plug-and-play mode a field deployment would use.
 func (d *Demodulator) ProcessFrameAuto(frame *lora.Frame, rssDBm float64, agc AGCConfig, rng *rand.Rand) ([]int, bool, error) {
 	traj := frame.FreqTrajectory(nil, d.fsSim)
-	env := d.RenderEnvelope(nil, traj, rssDBm, rng)
+	env, envC := d.Render(nil, nil, d.antenna(traj, rssDBm), rng)
 	d.autoBootstrap(env, agc)
 	start, ok := d.DetectPreamble(env)
 	if !ok {
 		return nil, false, nil
 	}
 	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
-	var envC []float64
-	if d.cfg.Mode == ModeFull {
-		envC = d.RenderCorrEnvelope(nil, traj, rssDBm, rng)
-	}
 	return d.decodePayloadAt(env, envC, payloadAt, len(frame.Payload))
 }

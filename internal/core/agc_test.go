@@ -61,7 +61,7 @@ func TestAutoCalibrateThresholdsSane(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		traj = append(traj, p.FreqTrajectory(nil, 0, d.SimRateHz())...)
 	}
-	env := d.RenderEnvelope(nil, traj, -65, rng)
+	env, _ := d.Render(nil, nil, d.antenna(traj, -65), rng)
 	d.AutoCalibrate(env, DefaultAGCConfig())
 	c := d.Thresholds()
 	if !(c.High > c.Low && c.Low >= 0) {
@@ -126,7 +126,7 @@ func TestClockPhaseErrorDegradesShiftChain(t *testing.T) {
 		}
 		p := cfg.Params
 		traj := p.FreqTrajectory(nil, 0, d.SimRateHz())
-		env := d.RenderEnvelope(nil, traj, -60, nil)
+		env, _ := d.Render(nil, nil, d.antenna(traj, -60), nil)
 		return dsp.Max(env)
 	}
 	pg, pb := peak(good), peak(bad)

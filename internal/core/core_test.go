@@ -203,7 +203,7 @@ func TestNoDetectionOnNoise(t *testing.T) {
 		const trials = 10
 		for i := 0; i < trials; i++ {
 			quiet := make([]float64, int(d.spbSim*20))
-			env := d.RenderEnvelope(nil, quiet, math.Inf(-1), rng)
+			env, _ := d.Render(nil, nil, d.antenna(quiet, math.Inf(-1)), rng)
 			if _, ok := d.DetectPreamble(env); ok {
 				falsePos++
 			}
@@ -226,11 +226,11 @@ func TestCarrierSense(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		traj = append(traj, p.FreqTrajectory(nil, 0, d.fsSim)...)
 	}
-	env := d.RenderEnvelope(nil, traj, -80, rng)
+	env, _ := d.Render(nil, nil, d.antenna(traj, -80), rng)
 	if !d.CarrierSense(env) {
 		t.Error("carrier not sensed at -80 dBm")
 	}
-	quiet := d.RenderEnvelope(nil, make([]float64, len(traj)), math.Inf(-1), rng)
+	quiet, _ := d.Render(nil, nil, d.antenna(make([]float64, len(traj)), math.Inf(-1)), rng)
 	if d.CarrierSense(quiet) {
 		t.Error("carrier sensed on pure noise")
 	}
@@ -314,8 +314,7 @@ func TestRenderCorrEnvelopeLength(t *testing.T) {
 	}
 	p := cfg.Params
 	traj := p.FreqTrajectory(nil, 0, d.fsSim)
-	slow := d.RenderEnvelope(nil, traj, -50, nil)
-	fast := d.RenderCorrEnvelope(nil, traj, -50, nil)
+	slow, fast := d.Render(nil, nil, d.antenna(traj, -50), nil)
 	ratio := float64(len(fast)) / float64(len(slow))
 	want := float64(cfg.CorrOversample)
 	if ratio < want*0.8 || ratio > want*1.2 {
@@ -360,11 +359,13 @@ func TestRenderHistoryInvariance(t *testing.T) {
 			name string
 			fn   func(d *Demodulator, traj []float64) []float64
 		}{
-			{"RenderEnvelope", func(d *Demodulator, traj []float64) []float64 {
-				return d.RenderEnvelope(nil, traj, -60, nil)
+			{"env", func(d *Demodulator, traj []float64) []float64 {
+				env, _ := d.Render(nil, nil, d.antenna(traj, -60), nil)
+				return env
 			}},
-			{"RenderCorrEnvelope", func(d *Demodulator, traj []float64) []float64 {
-				return d.RenderCorrEnvelope(nil, traj, -60, nil)
+			{"envC", func(d *Demodulator, traj []float64) []float64 {
+				_, envC := d.Render(nil, nil, d.antenna(traj, -60), nil)
+				return envC
 			}},
 		} {
 			render.fn(used, prev)

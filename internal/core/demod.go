@@ -24,7 +24,7 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 
 	// Noise-only render: baseline level and ripple of the envelope.
 	quiet := make([]float64, int(d.spbSim*4))
-	env := d.RenderEnvelope(nil, quiet, math.Inf(-1), rng)
+	env, _ := d.Render(nil, nil, d.antenna(quiet, math.Inf(-1)), rng)
 	d.baseline = dsp.Mean(env)
 	d.noiseSigma = dsp.StdDev(env)
 
@@ -35,7 +35,7 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	for i := 0; i < 4; i++ {
 		traj = append(traj, one...)
 	}
-	sig := d.RenderEnvelope(nil, traj, rssDBm, rng)
+	sig, _ := d.Render(nil, nil, d.antenna(traj, rssDBm), rng)
 	d.amax = dsp.Percentile(sig, 99)
 
 	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
@@ -88,7 +88,7 @@ func (d *Demodulator) measureDecodeBias(rssDBm float64) float64 {
 			continue
 		}
 		traj := p.FreqTrajectory(nil, m, d.fsSim)
-		env := d.RenderEnvelope(nil, traj, rssDBm, nil)
+		env, _ := d.Render(nil, nil, d.antenna(traj, rssDBm), nil)
 		bits := d.comparator.Quantize(nil, env)
 		tail := -1
 		for i := 1; i < len(bits); i++ {
@@ -136,7 +136,7 @@ func (d *Demodulator) buildTemplates(rssDBm float64) {
 	d.templates = make([][]float64, p.AlphabetSize())
 	for s := range d.templates {
 		traj := p.FreqTrajectory(nil, p.SymbolValue(s), d.fsSim)
-		d.templates[s] = d.RenderCorrEnvelope(nil, traj, rssDBm, nil)
+		_, d.templates[s] = d.Render(nil, nil, d.antenna(traj, rssDBm), nil)
 	}
 	d.tmplStats = make([]templateStat, len(d.templates))
 	for s, tmpl := range d.templates {
@@ -177,14 +177,13 @@ func (d *Demodulator) DemodulatePayload(trajHz []float64, rssDBm float64, nSymbo
 	if !d.calibrated {
 		return nil, ErrNotCalibrated
 	}
+	env, envC := d.Render(nil, nil, d.antenna(trajHz, rssDBm), rng)
 	if d.cfg.Mode == ModeFull {
-		env := d.RenderCorrEnvelope(nil, trajHz, rssDBm, rng)
 		if d.fx != nil {
-			return d.fxDecodeCorr(env, nSymbols), nil
+			return d.fxDecodeCorr(envC, nSymbols), nil
 		}
-		return d.decodeByCorrelation(env, nSymbols), nil
+		return d.decodeByCorrelation(envC, nSymbols), nil
 	}
-	env := d.RenderEnvelope(nil, trajHz, rssDBm, rng)
 	if d.fx != nil {
 		return d.fxDecodePeak(env, nSymbols), nil
 	}

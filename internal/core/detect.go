@@ -167,7 +167,7 @@ func (d *Demodulator) detectionTemplate() []float64 {
 		// Render at a nominal strong RSS: the template's *shape* is RSS
 		// independent (the chain is linear after the square law for a
 		// noise-free input).
-		d.detTmpl = d.RenderEnvelope(nil, traj, -40, nil)
+		d.detTmpl, _ = d.Render(nil, nil, d.antenna(traj, -40), nil)
 	}
 	return d.detTmpl
 }

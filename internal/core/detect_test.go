@@ -25,7 +25,7 @@ func streamEnvelope(t testing.TB, d *Demodulator, frame *lora.Frame, offsetSymbo
 	}
 	x := make([]complex128, total)
 	d.ComposeSignal(x, int(math.Round(offsetSymbols*float64(spbSim))), traj, rssDBm)
-	env, _ := d.RenderStream(x, rng)
+	env, _ := d.Render(nil, nil, x, rng)
 	return env
 }
 
@@ -110,7 +110,7 @@ func TestDetectPreambleFalsePositiveRate(t *testing.T) {
 		false1 := 0
 		for trial := 0; trial < trials; trial++ {
 			x := make([]complex128, 60*spbSim)
-			env, _ := d.RenderStream(x, dsp.NewRand(uint64(trial), 23))
+			env, _ := d.Render(nil, nil, x, dsp.NewRand(uint64(trial), 23))
 			if _, ok := d.DetectPreambleGated(env, baseline+4*sigma); ok {
 				false1++
 			}

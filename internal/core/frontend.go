@@ -27,12 +27,9 @@ type Demodulator struct {
 	// residue.
 	spbSimInt int
 
-	lpf  *dsp.FIR // post-detection video filter
+	lpf  *dsp.FIR // post-detection video filter, evaluated on the sampler grids
 	bpf  *dsp.FIR // IF band-pass (cyclic-frequency shifting)
 	ifHz float64  // intermediate frequency (2x the clock, from cos^2)
-
-	sampler     analog.Sampler // comparator-rate decimation
-	corrSampler analog.Sampler // correlator-rate decimation (CorrOversample x faster)
 
 	// Calibration state.
 	calibrated bool
@@ -84,8 +81,6 @@ func New(cfg Config) (*Demodulator, error) {
 	d.spbSamp = cfg.Params.SymbolDuration() * d.fsSamp
 	d.spbSim = cfg.Params.SymbolDuration() * d.fsSim
 	d.spbSimInt = cfg.Params.SamplesPerSymbol(d.fsSim)
-	d.sampler = analog.Sampler{Oversample: cfg.Oversample}
-	d.corrSampler = analog.Sampler{Oversample: cfg.Oversample / cfg.CorrOversample}
 
 	cutoff := cfg.VideoCutoffFrac * d.fsSamp
 	d.lpf, err = dsp.NewLowPass(cutoff, d.fsSim, 63, dsp.Hamming)
@@ -139,14 +134,35 @@ func (d *Demodulator) snrAmplitude(rssDBm float64) float64 {
 	return math.Sqrt(dsp.FromDB(rssDBm - noiseDBm))
 }
 
+// gridOffset is the simulation-rate index of the first sample a sampler
+// decimating by decim reads. The sample-and-hold fires mid-way through each
+// decim-long window (Section 2.3), so sample k reads simulation index
+// gridOffset(decim) + k*decim. This is the one statement of the sampler
+// grid; everything else derives from it.
+func gridOffset(decim int) int { return decim / 2 }
+
+// SimIndex returns the simulation-rate index that sampler-rate sample k
+// reads.
+func (d *Demodulator) SimIndex(k int) int {
+	return gridOffset(d.cfg.Oversample) + k*d.cfg.Oversample
+}
+
+// SamplerIndex returns the first sampler-rate sample that reads simulation
+// index i or a later one.
+func (d *Demodulator) SamplerIndex(i int) int {
+	ovs := d.cfg.Oversample
+	return (i - gridOffset(ovs) + ovs - 1) / ovs
+}
+
 // ComposeSignal adds the SAW-shaped antenna signal of one transmission into
-// a composite simulation-rate buffer, starting at sample offset at. The SAW
-// filter is linear, so concurrent transmissions superpose: calling
-// ComposeSignal repeatedly with different trajectories, offsets, and signal
-// strengths builds the continuous antenna view of a whole multi-tag
-// timeline (frames, gaps, even colliding frames) that RenderStream then
-// pushes through the analog chain in one pass. Samples falling outside x
-// are clipped.
+// a composite simulation-rate buffer, starting at sample offset at. It is
+// the only place the SAW gain is applied. The SAW filter is linear, so
+// concurrent transmissions superpose: calling ComposeSignal repeatedly with
+// different trajectories, offsets, and signal strengths builds the
+// continuous antenna view of a whole multi-tag timeline (frames, gaps, even
+// colliding frames) that Render then pushes through the analog chain in one
+// pass. A single transmission is composed at offset 0 into a cleared
+// buffer. Samples falling outside x are clipped.
 func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rssDBm float64) {
 	amp := d.snrAmplitude(rssDBm)
 	carrier := d.cfg.Params.CarrierHz
@@ -163,41 +179,54 @@ func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rs
 	}
 }
 
-// chainEnvelope pushes an antenna-level IQ series through the configured
-// analog chain — envelope detection, optionally cyclic-frequency shifting,
-// and the post-detection video filter — and returns the filtered envelope
-// at the simulation rate. The returned slice aliases the demodulator's
-// scratch buffers and is only valid until the next render; x is mutated in
-// place by the mixers. Every filter writes to a buffer other than its input,
-// so no render depends on what the previous one left in scratch.
-func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
-	n := len(x)
-	env := d.cfg.Envelope
-	if cap(d.scratchEnv) < n {
-		d.scratchEnv = make([]float64, n)
+// antenna composes one transmission at offset 0 into the cleared IQ
+// scratch buffer, ready for Render. The result is only valid until the next
+// call.
+func (d *Demodulator) antenna(trajHz []float64, rssDBm float64) []complex128 {
+	n := len(trajHz)
+	if cap(d.scratchIQ) < n {
+		d.scratchIQ = make([]complex128, n)
 	}
-	y := d.scratchEnv[:n]
-	// The video LPF reads y and writes lpfOut: scratchBuf in vanilla mode,
-	// scratchEnv once the band-pass has moved y into scratchBuf.
-	lpfOut := &d.scratchBuf
+	x := d.scratchIQ[:n]
+	clear(x)
+	d.ComposeSignal(x, 0, trajHz, rssDBm)
+	return x
+}
 
-	switch d.cfg.Mode {
-	case ModeVanilla:
-		y = env.Detect(y, x)
-		if rng != nil {
-			env.AddBasebandImpairments(y, d.fsSim, rng)
-		}
-	default:
+// Render pushes a composed antenna signal (see ComposeSignal) through the
+// analog chain once — front-end noise, envelope detection, optionally
+// cyclic-frequency shifting, and the video low-pass filter — and returns
+// what every reader of that one waveform samples: the comparator sampler's
+// stream in env and, in ModeFull, the correlator's stream at
+// CorrOversample times that rate in envC (empty in the other modes). Both
+// are written into the given buffers, grown as needed. The video filter is
+// evaluated only at the simulation indices the two samplers read (see
+// SimIndex); it is the chain's only decimator.
+//
+// Front-end noise of unit power is added when rng is non-nil; pass nil for
+// a noise-free reference render (calibration, correlation templates). x is
+// mutated in place by the noise and the mixers. A continuous capture is one
+// Render of its whole timeline, so frames, idle gaps, and chunk boundaries
+// share one contiguous envelope with no per-frame filter edge transients.
+func (d *Demodulator) Render(env, envC []float64, x []complex128, rng *rand.Rand) ([]float64, []float64) {
+	det := d.cfg.Envelope
+	if rng != nil {
+		dsp.AddComplexNoise(x, 1, rng)
+	}
+	if d.cfg.Mode != ModeVanilla {
 		// Cyclic-frequency shifting (Figure 9): mix up, square, band-pass
 		// at the IF, amplify, mix down, low-pass.
 		clock := analog.Oscillator{FreqHz: d.ifHz / 2}
 		clock.MixComplex(x, d.fsSim, 0)
-		y = env.Detect(y, x)
-		if rng != nil {
-			env.AddBasebandImpairments(y, d.fsSim, rng)
-		}
+	}
+	d.scratchEnv = det.Detect(d.scratchEnv, x)
+	y := d.scratchEnv
+	if rng != nil {
+		det.AddBasebandImpairments(y, d.fsSim, rng)
+	}
+	if d.cfg.Mode != ModeVanilla {
 		d.scratchBuf = d.bpf.Apply(d.scratchBuf, y)
-		y, lpfOut = d.scratchBuf, &d.scratchEnv
+		y = d.scratchBuf
 		d.cfg.IFAmp.Apply(y)
 		out := analog.Oscillator{FreqHz: d.ifHz}
 		out.MixReal(y, d.fsSim, d.cfg.ClockPhaseError)
@@ -208,63 +237,11 @@ func (d *Demodulator) chainEnvelope(x []complex128, rng *rand.Rand) []float64 {
 			y[i] *= g
 		}
 	}
-
-	*lpfOut = d.lpf.Apply(*lpfOut, y)
-	return *lpfOut
-}
-
-// RenderEnvelope pushes an instantaneous-frequency trajectory (Hz offsets
-// above the LoRa carrier, at the simulation rate) through the configured
-// analog chain at the given RSS and returns the baseband envelope at the
-// sampler rate. Pass rng=nil for a noise-free reference render (used for
-// calibration and correlation templates).
-func (d *Demodulator) RenderEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
-	return d.render(dst, trajHz, rssDBm, rng, d.sampler)
-}
-
-// render is RenderEnvelope decimated by the given sampler.
-func (d *Demodulator) render(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand, s analog.Sampler) []float64 {
-	n := len(trajHz)
-	amp := d.snrAmplitude(rssDBm)
-	carrier := d.cfg.Params.CarrierHz
-
-	if cap(d.scratchIQ) < n {
-		d.scratchIQ = make([]complex128, n)
+	ovs := d.cfg.Oversample
+	env = d.lpf.ApplyStrided(env, y, ovs, gridOffset(ovs))
+	if d.cfg.Mode != ModeFull {
+		return env, envC[:0]
 	}
-	x := d.scratchIQ[:n]
-	saw := d.cfg.SAW
-	for i, f := range trajHz {
-		x[i] = complex(amp*saw.Gain(carrier+f), 0)
-	}
-	if rng != nil {
-		dsp.AddComplexNoise(x, 1, rng)
-	}
-	y := d.chainEnvelope(x, rng)
-	return s.SampleFloats(dst, y)
-}
-
-// RenderStream pushes a pre-composed antenna signal (see ComposeSignal)
-// through the analog chain once and decimates the filtered output to every
-// rate the receiver consumes: the comparator sampler stream, and — in
-// ModeFull — the correlator stream at CorrOversample times that rate. This
-// is how a continuous capture is rendered: one chain pass for the whole
-// timeline, so frames, idle gaps, and chunk boundaries all share a single
-// contiguous envelope with no per-frame filter edge transients. Front-end
-// noise of unit power is added when rng is non-nil; x is mutated in place.
-func (d *Demodulator) RenderStream(x []complex128, rng *rand.Rand) (env, envC []float64) {
-	if rng != nil {
-		dsp.AddComplexNoise(x, 1, rng)
-	}
-	y := d.chainEnvelope(x, rng)
-	env = d.sampler.SampleFloats(nil, y)
-	if d.cfg.Mode == ModeFull {
-		envC = d.corrSampler.SampleFloats(nil, y)
-	}
-	return env, envC
-}
-
-// RenderCorrEnvelope is RenderEnvelope at the correlator's higher sampling
-// rate (ModeFull decodes from this stream).
-func (d *Demodulator) RenderCorrEnvelope(dst []float64, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
-	return d.render(dst, trajHz, rssDBm, rng, d.corrSampler)
+	c := ovs / d.cfg.CorrOversample
+	return env, d.lpf.ApplyStrided(envC, y, c, gridOffset(c))
 }

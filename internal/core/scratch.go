@@ -12,6 +12,7 @@ import (
 // envelopes — so hot demodulation loops can recycle them across frames
 // (typically through a sync.Pool shared by a worker pool). The zero value
 // is ready to use; buffers grow on demand and are retained between frames.
+// Each frame is one chain pass over len(Traj) simulation-rate samples.
 //
 // A FrameScratch must not be shared by concurrent ProcessFrameScratch
 // calls.
@@ -19,11 +20,6 @@ type FrameScratch struct {
 	Traj []float64 // simulation-rate frequency trajectory
 	Env  []float64 // sampler-rate envelope
 	EnvC []float64 // correlator-rate envelope (ModeFull only)
-
-	// Rendered is the number of simulation-rate samples pushed through the
-	// analog chain by the last ProcessFrameScratch call; pipelines use it
-	// for Msamples/sec throughput accounting.
-	Rendered int
 }
 
 // ProcessFrameScratch is ProcessFrame with caller-owned render buffers: it
@@ -39,8 +35,7 @@ func (d *Demodulator) ProcessFrameScratch(frame *lora.Frame, rssDBm float64, rng
 		s = &FrameScratch{}
 	}
 	s.Traj = frame.FreqTrajectory(s.Traj[:0], d.fsSim)
-	s.Rendered = len(s.Traj)
-	s.Env = d.RenderEnvelope(s.Env[:0], s.Traj, rssDBm, rng)
+	s.Env, s.EnvC = d.Render(s.Env, s.EnvC, d.antenna(s.Traj, rssDBm), rng)
 	start, ok := d.DetectPreamble(s.Env)
 	if !ok {
 		return nil, false, nil
@@ -49,10 +44,6 @@ func (d *Demodulator) ProcessFrameScratch(frame *lora.Frame, rssDBm float64, rng
 	// payload follows the ten up-chirps and 2.25 sync symbol times
 	// (Section 2.2, Figure 8).
 	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
-	if d.cfg.Mode == ModeFull {
-		s.EnvC = d.RenderCorrEnvelope(s.EnvC[:0], s.Traj, rssDBm, rng)
-		s.Rendered += len(s.Traj)
-	}
 	return d.decodePayloadAt(s.Env, s.EnvC, payloadAt, len(frame.Payload))
 }
 

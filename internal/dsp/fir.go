@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // FIR is a finite-impulse-response filter. The zero value is unusable; build
@@ -94,25 +95,40 @@ func (f *FIR) Len() int { return len(f.taps) }
 // Apply convolves x with the filter and writes the "same"-length result into
 // dst (allocated or grown as needed), compensating for the filter's group
 // delay so features in the output stay aligned with the input. It returns
-// dst.
-func (f *FIR) Apply(dst, x []float64) []float64 {
-	n := len(x)
-	if cap(dst) < n {
-		dst = make([]float64, n)
+// dst. dst must not overlap x.
+func (f *FIR) Apply(dst, x []float64) []float64 { return f.ApplyStrided(dst, x, 1, 0) }
+
+// ApplyStrided is Apply evaluated only at the output indices offset,
+// offset+stride, offset+2*stride, ... below len(x): it writes those outputs,
+// in order, into dst (allocated or grown as needed) and returns dst. Each
+// output is accumulated exactly as Apply accumulates it, so a decimating
+// caller gets Apply's bits at the indices it keeps without paying for the
+// ones it drops. It panics if stride < 1, offset < 0, or dst overlaps x.
+func (f *FIR) ApplyStrided(dst, x []float64, stride, offset int) []float64 {
+	if stride < 1 || offset < 0 {
+		panic(fmt.Sprintf("dsp: FIR output grid stride %d offset %d", stride, offset))
 	}
-	dst = dst[:n]
+	n := len(x)
+	m := 0
+	if offset < n {
+		m = (n - offset + stride - 1) / stride
+	}
+	if cap(dst) < m {
+		dst = make([]float64, m)
+	}
+	dst = dst[:m]
+	mustNotOverlap(dst, x)
 	half := len(f.taps) / 2
-	for i := 0; i < n; i++ {
+	for o := range dst {
+		// y[i] = sum_k h[k] * x[i + half - k], over the taps whose input
+		// index lies inside x, in ascending k.
+		i := offset + o*stride
+		lo, hi := max(0, i+half-n+1), min(len(f.taps), i+half+1)
 		acc := 0.0
-		// y[i] = sum_k h[k] * x[i + half - k]
-		for k, tap := range f.taps {
-			j := i + half - k
-			if j < 0 || j >= n {
-				continue
-			}
-			acc += tap * x[j]
+		for k := lo; k < hi; k++ {
+			acc += f.taps[k] * x[i+half-k]
 		}
-		dst[i] = acc
+		dst[o] = acc
 	}
 	return dst
 }
@@ -124,19 +140,31 @@ func (f *FIR) ApplyComplex(dst, x []complex128) []complex128 {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
+	mustNotOverlap(dst, x)
 	half := len(f.taps) / 2
-	for i := 0; i < n; i++ {
+	for i := range dst {
+		lo, hi := max(0, i+half-n+1), min(len(f.taps), i+half+1)
 		var acc complex128
-		for k, tap := range f.taps {
-			j := i + half - k
-			if j < 0 || j >= n {
-				continue
-			}
-			acc += complex(tap, 0) * x[j]
+		for k := lo; k < hi; k++ {
+			acc += complex(f.taps[k], 0) * x[i+half-k]
 		}
 		dst[i] = acc
 	}
 	return dst
+}
+
+// mustNotOverlap panics when dst and x share memory. A convolution reads
+// inputs after it has written outputs, so an in-place or shifted-overlap
+// call would silently filter its own output.
+func mustNotOverlap[T float64 | complex128](dst, x []T) {
+	if len(dst) == 0 || len(x) == 0 {
+		return
+	}
+	d0, d1 := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&dst[len(dst)-1]))
+	x0, x1 := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&x[len(x)-1]))
+	if d0 <= x1 && x0 <= d1 {
+		panic("dsp: FIR output dst overlaps its input x")
+	}
 }
 
 // MovingAverage computes a centered moving average of width w over x into

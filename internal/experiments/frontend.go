@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"saiyan/internal/analog"
 	"saiyan/internal/core"
@@ -12,6 +13,15 @@ import (
 // Front-end experiments: Figures 3, 5, 6, 7, 8 and 10 characterize the
 // frequency-amplitude transformation, the comparator, the decoding walk
 // and the cyclic-frequency-shifting gain.
+
+// renderEnvelope renders one trajectory, alone on the antenna, to the
+// sampler-rate envelope (rng=nil for a noise-free render).
+func renderEnvelope(d *core.Demodulator, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
+	x := make([]complex128, len(trajHz))
+	d.ComposeSignal(x, 0, trajHz, rssDBm)
+	env, _ := d.Render(nil, nil, x, rng)
+	return env
+}
 
 func init() {
 	register(Experiment{
@@ -105,7 +115,7 @@ func runFig6(o Options) (*Table, error) {
 	for s := 0; s < p.AlphabetSize(); s++ {
 		m := p.SymbolValue(s)
 		traj := p.FreqTrajectory(nil, m, d.SimRateHz())
-		env := d.RenderEnvelope(nil, traj, -50, nil)
+		env := renderEnvelope(d, traj, -50, nil)
 		idx, _ := dsp.Argmax(env)
 		measured := (float64(idx) + 0.5) / float64(len(env))
 		theory := p.PeakFraction(m)
@@ -215,12 +225,12 @@ func runFig10(o Options) (*Table, error) {
 		for i := 0; i < 24; i++ {
 			traj = append(traj, p.FreqTrajectory(nil, 0, d.SimRateHz())...)
 		}
-		clean := append([]float64(nil), d.RenderEnvelope(nil, traj, rss, nil)...)
+		clean := renderEnvelope(d, traj, rss, nil)
 		cm := dsp.Mean(clean)
 		var sigPow, noisePow float64
 		rng := dsp.NewRand(o.Seed, uint64(mode))
 		for r := 0; r < reps; r++ {
-			noisy := d.RenderEnvelope(nil, traj, rss, rng)
+			noisy := renderEnvelope(d, traj, rss, rng)
 			nm := dsp.Mean(noisy)
 			for i := range clean {
 				s := clean[i] - cm

@@ -631,7 +631,7 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		}
 		rng := dsp.NewRand(p.cfg.Seed, nseed)
 		res.Symbols, res.Detected, res.Err = d.ProcessFrameScratch(j.Frame, j.RSSDBm, rng, sc)
-		p.simSamples.Add(uint64(sc.Rendered))
+		p.simSamples.Add(uint64(len(sc.Traj)))
 		cycles = d.TakeFxpCycles()
 	case j.Env != nil:
 		// Stream decode: the envelope already exists; nothing is rendered

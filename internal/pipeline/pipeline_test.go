@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"saiyan/internal/core"
 	"saiyan/internal/lora"
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
@@ -79,26 +80,40 @@ func signature(results []Result) string {
 
 // TestDeterministicAcrossWorkerCounts is the pipeline's core contract: for
 // a fixed seed the decoded symbol stream is byte-identical whether one
-// worker or eight demodulate it.
+// worker or eight demodulate it, in every demod mode and on both
+// datapaths.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := testTraffic(t, 6, 2)
-	var sigs []string
-	for _, workers := range []int{1, 3, 8} {
-		cfg := DefaultConfig()
-		cfg.Seed = testSeed
-		cfg.Workers = workers
-		results, st := runPipeline(t, cfg, jobs, 4)
-		if got, want := len(results), len(jobs); got != want {
-			t.Fatalf("workers=%d: %d results, want %d", workers, got, want)
+	for _, mode := range []core.Mode{core.ModeVanilla, core.ModeFreqShift, core.ModeFull} {
+		for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
+			t.Run(fmt.Sprintf("%v/%v", mode, dp), func(t *testing.T) {
+				var sigs []string
+				var cycles []uint64
+				for _, workers := range []int{1, 4, 8} {
+					cfg := DefaultConfig()
+					cfg.Seed = testSeed
+					cfg.Workers = workers
+					cfg.Demod.Mode = mode
+					cfg.Demod.Datapath = dp
+					results, st := runPipeline(t, cfg, jobs, 4)
+					if got, want := len(results), len(jobs); got != want {
+						t.Fatalf("workers=%d: %d results, want %d", workers, got, want)
+					}
+					if st.FramesOut != uint64(len(jobs)) {
+						t.Fatalf("workers=%d: FramesOut=%d, want %d", workers, st.FramesOut, len(jobs))
+					}
+					sigs = append(sigs, signature(results))
+					cycles = append(cycles, st.FxpCycles)
+				}
+				if sigs[0] != sigs[1] || sigs[0] != sigs[2] {
+					t.Errorf("symbol streams differ across worker counts:\n1 worker: %s\n4 workers: %s\n8 workers: %s",
+						sigs[0], sigs[1], sigs[2])
+				}
+				if cycles[0] != cycles[1] || cycles[0] != cycles[2] {
+					t.Errorf("fxp cycle ledgers differ across worker counts: %v", cycles)
+				}
+			})
 		}
-		if st.FramesOut != uint64(len(jobs)) {
-			t.Fatalf("workers=%d: FramesOut=%d, want %d", workers, st.FramesOut, len(jobs))
-		}
-		sigs = append(sigs, signature(results))
-	}
-	if sigs[0] != sigs[1] || sigs[0] != sigs[2] {
-		t.Errorf("symbol streams differ across worker counts:\n1 worker: %s\n3 workers: %s\n8 workers: %s",
-			sigs[0], sigs[1], sigs[2])
 	}
 }
 

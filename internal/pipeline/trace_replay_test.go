@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"saiyan/internal/core"
 	"saiyan/internal/lora"
 	"saiyan/internal/radio"
 	"saiyan/internal/sim"
@@ -274,59 +275,83 @@ func TestTraceSourceTruncated(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceReplay replays the checked-in golden trace: the decoded
+// goldenCases are the checked-in golden traces: the same traffic recorded
+// through the default ModeFull chain and through the vanilla chain. The
+// vanilla chain detects every frame but decodes none of them error-free
+// (about 18% SER), so its case pins decisions, not a quality floor.
+var goldenCases = []struct {
+	name   string
+	path   string
+	mode   core.Mode
+	minPRR float64
+}{
+	{"full", goldenPath, core.ModeFull, 0.9},
+	{"vanilla", "testdata/golden.vanilla.trace.gz", core.ModeVanilla, 0},
+}
+
+// TestGoldenTraceReplay replays the checked-in golden traces: the decoded
 // symbol stream must reproduce the recorded decisions bit-exactly at any
 // worker count, pinning the demodulator's behavior across refactors.
 // Regenerate with: go test ./internal/pipeline -run TestGoldenTraceReplay -update-golden
 func TestGoldenTraceReplay(t *testing.T) {
-	if *updateGolden {
-		cfg, src, err := goldenConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := trace.Create(goldenPath, p.TraceHeader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Record(w, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(context.Background(), src); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d frames)", goldenPath, w.Frames())
+	for _, gc := range goldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			if *updateGolden {
+				recordGolden(t, gc.path, gc.mode)
+			}
+			for _, workers := range []int{1, 4, 8} {
+				r, err := trace.Open(gc.path)
+				if err != nil {
+					t.Fatalf("opening golden trace (regenerate with -update-golden): %v", err)
+				}
+				st, mismatches, err := VerifyReplay(r, workers)
+				r.Close()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if mismatches != 0 {
+					t.Errorf("workers=%d: %d of %d frames diverged from the golden decisions", workers, mismatches, st.FramesOut)
+				}
+				if st.FramesOut != 8 {
+					t.Errorf("workers=%d: replayed %d frames, golden has 8", workers, st.FramesOut)
+				}
+				if st.PRR() < gc.minPRR {
+					t.Errorf("workers=%d: golden replay PRR %.2f, want >= %.1f (close-range traffic)", workers, st.PRR(), gc.minPRR)
+				}
+			}
+		})
 	}
+}
 
-	for _, workers := range []int{1, 4, 8} {
-		r, err := trace.Open(goldenPath)
-		if err != nil {
-			t.Fatalf("opening golden trace (regenerate with -update-golden): %v", err)
-		}
-		st, mismatches, err := VerifyReplay(r, workers)
-		r.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if mismatches != 0 {
-			t.Errorf("workers=%d: %d of %d frames diverged from the golden decisions", workers, mismatches, st.FramesOut)
-		}
-		if st.FramesOut != 8 {
-			t.Errorf("workers=%d: replayed %d frames, golden has 8", workers, st.FramesOut)
-		}
-		if st.PRR() < 0.9 {
-			t.Errorf("workers=%d: golden replay PRR %.2f, want >= 0.9 (close-range traffic)", workers, st.PRR())
-		}
+// recordGolden rewrites the golden trace at path from goldenConfig's
+// traffic demodulated in the given mode.
+func recordGolden(t *testing.T, path string, mode core.Mode) {
+	cfg, src, err := goldenConfig()
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Demod.Mode = mode
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.Create(path, p.TraceHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Record(w, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("regenerated %s (%d frames)", path, w.Frames())
 }
 
 // TestRunMatchesManualSubmit verifies the pull loop decodes the same

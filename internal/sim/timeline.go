@@ -218,7 +218,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	for i, ev := range events {
 		d.ComposeSignal(x, ev.StartSim, trajs[i], ev.RSSDBm)
 	}
-	env, envC := d.RenderStream(x, dsp.NewRand(tagStreamSeed(ts.Seed, noiseStream), 0))
+	env, envC := d.Render(nil, nil, x, dsp.NewRand(tagStreamSeed(ts.Seed, noiseStream), 0))
 
 	s := &Stream{
 		Events:           events,
@@ -231,11 +231,8 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	if envC != nil {
 		s.CorrOversample = d.Config().CorrOversample
 	}
-	// Map simulation-rate starts onto the sampler grid: sampler sample k
-	// sits at simulation index Oversample/2 + k*Oversample.
-	ovs := d.Config().Oversample
 	for i := range s.Events {
-		s.Events[i].StartSamp = (s.Events[i].StartSim - ovs/2 + ovs - 1) / ovs
+		s.Events[i].StartSamp = d.SamplerIndex(s.Events[i].StartSim)
 	}
 	return s, nil
 }

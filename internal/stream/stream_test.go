@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"saiyan/internal/core"
@@ -76,6 +77,48 @@ func TestStreamEndToEnd(t *testing.T) {
 			first = st
 		} else if !statsEqual(first, st) {
 			t.Errorf("workers=%d diverged from workers=1:\n1: %+v\n%d: %+v", workers, first, workers, st)
+		}
+	}
+}
+
+// TestStreamDeterministicAcrossWorkerCounts widens TestStreamEndToEnd's
+// worker-count contract to every demod mode and both datapaths: the capture
+// is rendered through the mode's own chain, and the stream Stats (plus the
+// fixed-point cycle ledger) must be identical at 1, 4, and 8 workers.
+func TestStreamDeterministicAcrossWorkerCounts(t *testing.T) {
+	ts, err := sim.NewTagSet(lora.DefaultParams(), radio.DefaultLinkBudget(), 3, 20, 80, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.ModeVanilla, core.ModeFreqShift, core.ModeFull} {
+		demod := core.DefaultConfig()
+		demod.Mode = mode
+		capture, err := ts.RenderTimeline(demod, sim.TimelineConfig{FramesPerTag: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
+			t.Run(fmt.Sprintf("%v/%v", mode, dp), func(t *testing.T) {
+				var first Stats
+				for i, workers := range []int{1, 4, 8} {
+					pcfg, scfg := testConfigs()
+					pcfg.Workers = workers
+					pcfg.Demod.Mode, scfg.Demod.Mode = mode, mode
+					pcfg.Demod.Datapath, scfg.Demod.Datapath = dp, dp
+					st, err := Demodulate(context.Background(), pcfg, scfg, capture, 128)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
+					}
+					if st.WindowsEmitted == 0 {
+						t.Fatalf("workers=%d: no windows segmented", workers)
+					}
+					if i == 0 {
+						first = st
+					} else if !statsEqual(first, st) || st.FxpCycles != first.FxpCycles {
+						t.Errorf("workers=%d diverged from workers=1:\n1: %+v\n%d: %+v", workers, first, workers, st)
+					}
+				}
+			})
 		}
 	}
 }
