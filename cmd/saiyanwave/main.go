@@ -72,7 +72,7 @@ func rngFor(seed uint64) *rand.Rand {
 // renderEnvelope renders one trajectory, alone on the antenna, to the
 // sampler-rate envelope (rng=nil for a noise-free render).
 func renderEnvelope(d *saiyan.Demodulator, trajHz []float64, rssDBm float64, rng *rand.Rand) []float64 {
-	x := make([]complex128, len(trajHz))
+	x := make([]float64, len(trajHz))
 	d.ComposeSignal(x, 0, trajHz, rssDBm)
 	env, _ := d.Render(nil, nil, x, rng)
 	return env

@@ -2,6 +2,7 @@ package analog
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -94,15 +95,59 @@ func TestSAWTransformTracksFrequency(t *testing.T) {
 
 func TestEnvelopeDetectorSquareLaw(t *testing.T) {
 	e := EnvelopeDetector{ScaleK: 2}
-	x := []complex128{complex(3, 4), complex(0, 1)}
-	y := e.Detect(nil, x)
+	y := []float64{5, -1}
+	e.Detect(y, 0, 1, nil)
 	if math.Abs(y[0]-50) > 1e-12 || math.Abs(y[1]-2) > 1e-12 {
 		t.Errorf("y = %v, want [50 2]", y)
 	}
 	// Zero ScaleK defaults to 1.
 	e0 := EnvelopeDetector{}
-	if y := e0.Detect(nil, x); math.Abs(y[0]-25) > 1e-12 {
+	y = []float64{5}
+	if e0.Detect(y, 0, 1, nil); math.Abs(y[0]-25) > 1e-12 {
 		t.Errorf("default k: y[0] = %g, want 25", y[0])
+	}
+}
+
+// TestDetectMatchesComplexChain pins the fused pass to the chain it
+// replaces, bit for bit: lift the real antenna signal to complex, add
+// unit-power complex noise, multiply by the clock tone, square.
+func TestDetectMatchesComplexChain(t *testing.T) {
+	const fs = 400e3
+	for _, tc := range []struct {
+		name    string
+		clockHz float64
+		noisy   bool
+	}{
+		{"clean", 0, false},
+		{"noisy", 0, true},
+		{"clean/mixed", fs / 8, false},
+		{"noisy/mixed", fs / 8, true},
+	} {
+		e := EnvelopeDetector{ScaleK: 1.5}
+		n := 1000
+		got := make([]float64, n)
+		want := make([]complex128, n)
+		for i := range got {
+			got[i] = 3 * math.Sin(float64(i)/17)
+			want[i] = complex(got[i], 0)
+		}
+		var rng *rand.Rand
+		if tc.noisy {
+			rng = dsp.NewRand(7, 8)
+			dsp.AddComplexNoise(want, 1, dsp.NewRand(7, 8))
+		}
+		if tc.clockHz != 0 {
+			w := 2 * math.Pi * tc.clockHz / fs
+			for i := range want {
+				want[i] *= complex(math.Cos(w*float64(i)+0), 0)
+			}
+		}
+		e.Detect(got, tc.clockHz, fs, rng)
+		for i, v := range want {
+			if ref := e.ScaleK * (real(v)*real(v) + imag(v)*imag(v)); got[i] != ref {
+				t.Fatalf("%s: sample %d = %v, complex chain gives %v", tc.name, i, got[i], ref)
+			}
+		}
 	}
 }
 
@@ -114,13 +159,12 @@ func TestEnvelopeSelfMixingPenalty(t *testing.T) {
 	e := EnvelopeDetector{ScaleK: 1}
 	outSNR := func(inSNRdB float64) float64 {
 		n := 1 << 15
-		x := make([]complex128, n)
+		y := make([]float64, n)
 		amp := math.Sqrt(dsp.FromDB(inSNRdB))
-		for i := range x {
-			x[i] = complex(amp, 0)
+		for i := range y {
+			y[i] = amp
 		}
-		dsp.AddComplexNoise(x, 1, rng)
-		y := e.Detect(nil, x)
+		e.Detect(y, 0, 1, rng)
 		// The informative term is A^2 = mean(y) minus the unit noise
 		// power folded in by |n|^2; the fluctuation is var(y).
 		sig := dsp.Mean(y) - 1
@@ -138,7 +182,10 @@ func TestAddBasebandImpairments(t *testing.T) {
 	e := DefaultEnvelopeDetector()
 	rng := dsp.NewRand(3, 9)
 	y := make([]float64, 4096)
-	e.AddBasebandImpairments(y, 400e3, rng)
+	pink := make([]float64, 0, len(y))
+	if got := e.AddBasebandImpairments(y, 400e3, rng, pink); &got[0] != &pink[:1][0] {
+		t.Error("flicker noise did not reuse the caller's scratch buffer")
+	}
 	// 1/f noise converges slowly, so the sample mean can sit a sizable
 	// fraction of FlickerSigma away from the DC offset.
 	if m := dsp.Mean(y); math.Abs(m-e.DCOffset) > e.FlickerSigma {
@@ -264,13 +311,14 @@ func TestOscillatorToneAndMix(t *testing.T) {
 	if m := dsp.Mean(x); math.Abs(m-0.5) > 0.01 {
 		t.Errorf("mean of cos^2 = %g, want 0.5", m)
 	}
-	// MixComplex halves the complex power on average (|cos|^2 mean 1/2).
-	xc := make([]complex128, 4096)
+	// The detector's input mixer halves the power on average (|cos|^2
+	// mean 1/2).
+	xc := make([]float64, 4096)
 	for i := range xc {
 		xc[i] = 1
 	}
-	o.MixComplex(xc, fs, 0)
-	if p := dsp.ComplexPower(xc); math.Abs(p-0.5) > 0.01 {
+	EnvelopeDetector{}.Detect(xc, o.FreqHz, fs, nil)
+	if p := dsp.Mean(xc); math.Abs(p-0.5) > 0.01 {
 		t.Errorf("mixed power = %g, want 0.5", p)
 	}
 }

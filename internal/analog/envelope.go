@@ -49,32 +49,51 @@ func DefaultEnvelopeDetector() EnvelopeDetector {
 	}
 }
 
-// Detect writes k*|x|^2 into dst without baseband impairments (the caller
-// decides whether the signal has been shifted away from DC first) and
-// returns dst.
-func (e EnvelopeDetector) Detect(dst []float64, x []complex128) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
+// Detect runs the RF half of the chain over the real antenna signal x in
+// one pass, in place. The antenna signal is real until front-end noise is
+// added, so the complex envelope only exists inside the loop: per sample it
+// adds unit-power circularly symmetric complex noise when rng is non-nil
+// (the real draw, then the imaginary one), multiplies both parts by the
+// input clock tone cos(2*pi*clockHz*i/sampleRate) of the
+// cyclic-frequency-shifting circuit when clockHz is non-zero (a zero clock
+// is a constant 1, no mixer), and writes the square-law output k*|x|^2 back
+// into x. Baseband impairments are not added; the caller decides whether
+// the signal has been shifted away from DC first.
+func (e EnvelopeDetector) Detect(x []float64, clockHz, sampleRate float64, rng *rand.Rand) {
 	k := e.ScaleK
 	if k == 0 {
 		k = 1
 	}
-	for i, v := range x {
-		dst[i] = k * (real(v)*real(v) + imag(v)*imag(v))
+	sigma := math.Sqrt(0.5)
+	w := 2 * math.Pi * clockHz / sampleRate
+	for i, re := range x {
+		var im float64
+		if rng != nil {
+			re += sigma * rng.NormFloat64()
+			im = sigma * rng.NormFloat64()
+		}
+		if clockHz != 0 {
+			c := math.Cos(w * float64(i))
+			re *= c
+			im *= c
+		}
+		x[i] = k * (re*re + im*im)
 	}
-	return dst
 }
 
 // AddBasebandImpairments adds the DC offset, flicker noise, and white
 // baseband noise to an envelope series (sampled at sampleRateHz) in place.
 // Call it after Detect; the super-Saiyan chain applies it before the IF
 // band-pass filter, which then strips most of it — exactly the mechanism of
-// Figure 9.
-func (e EnvelopeDetector) AddBasebandImpairments(y []float64, sampleRateHz float64, rng *rand.Rand) {
+// Figure 9. The flicker noise is generated in pink, a caller-owned scratch
+// buffer grown as needed (nil allocates one); the buffer is returned so the
+// caller can reuse it, and its contents are garbage afterwards.
+func (e EnvelopeDetector) AddBasebandImpairments(y []float64, sampleRateHz float64, rng *rand.Rand, pink []float64) []float64 {
 	if e.FlickerSigma > 0 {
-		pink := dsp.PinkNoise(make([]float64, len(y)), rng)
+		if cap(pink) < len(y) {
+			pink = make([]float64, len(y))
+		}
+		pink = dsp.PinkNoise(pink[:len(y)], rng)
 		if e.FlickerCornerHz > 0 && sampleRateHz > 2*e.FlickerCornerHz {
 			// One-pole roll-off above the flicker corner, renormalized so
 			// the total sigma stays at the configured value (the corner
@@ -104,4 +123,5 @@ func (e EnvelopeDetector) AddBasebandImpairments(y []float64, sampleRateHz float
 			y[i] += e.DCOffset
 		}
 	}
+	return pink
 }

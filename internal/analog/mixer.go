@@ -33,17 +33,6 @@ func (o Oscillator) MixReal(x []float64, sampleRate, phase float64) {
 	}
 }
 
-// MixComplex multiplies the RF complex envelope by the real clock tone in
-// place (input mixer): in passband terms this splits the signal into the
-// two sidebands S(F±Δf) of Figure 9(b).
-func (o Oscillator) MixComplex(x []complex128, sampleRate, phase float64) {
-	w := 2 * math.Pi * o.FreqHz / sampleRate
-	for i := range x {
-		c := math.Cos(w*float64(i) + phase)
-		x[i] *= complex(c, 0)
-	}
-}
-
 // IFAmplifier is the low-power transistor amplifier (2N222 in the
 // prototype) that boosts the intermediate-frequency signal between the two
 // mixers. Frequency selectivity is applied separately via a band-pass FIR

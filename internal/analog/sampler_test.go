@@ -37,7 +37,7 @@ func hold(d *core.Demodulator, x []float64) []float64 {
 // rendered returns the sampler- and correlator-rate stream lengths the
 // receiver produces from n simulation samples.
 func rendered(d *core.Demodulator, n int) (int, int) {
-	env, envC := d.Render(nil, nil, make([]complex128, n), nil)
+	env, envC := d.Render(nil, nil, make([]float64, n), nil)
 	return len(env), len(envC)
 }
 

@@ -64,15 +64,14 @@ func (c ConventionalReceiver) snrAmplitude(rssDBm float64) float64 {
 // according to the on mask (nil means always on) at the given RSS.
 func (c ConventionalReceiver) RenderEnvelope(n int, on []bool, rssDBm float64, rng *rand.Rand) []float64 {
 	amp := c.snrAmplitude(rssDBm)
-	x := make([]complex128, n)
-	for i := range x {
+	y := make([]float64, n)
+	for i := range y {
 		if on == nil || (i < len(on) && on[i]) {
-			x[i] = complex(amp, 0)
+			y[i] = amp
 		}
 	}
-	dsp.AddComplexNoise(x, 1, rng)
-	y := c.Envelope.Detect(nil, x)
-	c.Envelope.AddBasebandImpairments(y, c.SampleRateHz, rng)
+	c.Envelope.Detect(y, 0, c.SampleRateHz, rng)
+	c.Envelope.AddBasebandImpairments(y, c.SampleRateHz, rng, nil)
 	return y
 }
 

@@ -6,12 +6,15 @@
 //
 // One method, Demodulator.Render, runs the analog chain: once per capture,
 // over an antenna signal built with ComposeSignal (one frame, or a whole
-// timeline of superposed transmissions). The video low-pass filter is
-// evaluated only where a sampler reads it, so it is also the only
-// decimator: the comparator sampler reads simulation index
-// Oversample/2 + k·Oversample (SimIndex), and in ModeFull the correlator
-// reads the same waveform on a grid CorrOversample times finer. Detection
-// and payload decode of a frame therefore see one noise realization.
+// timeline of superposed transmissions). The antenna signal is real; one
+// fused pass adds the complex front-end noise, mixes, and square-law
+// detects in place, so a capture needs two float64 buffers at the
+// simulation rate. The video low-pass filter is evaluated only where a
+// sampler reads it, so it is also the only decimator: the comparator
+// sampler reads simulation index Oversample/2 + k·Oversample (SimIndex),
+// and in ModeFull the correlator reads the same waveform on a grid
+// CorrOversample times finer. Detection and payload decode of a frame
+// therefore see one noise realization.
 //
 // The demodulator operates on instantaneous-frequency trajectories (what
 // the antenna sees) and a received signal strength from the link budget;

@@ -54,16 +54,18 @@ func (d *Demodulator) NoiseStats() (baseline, sigma float64) {
 }
 
 // comparatorTails quantizes the envelope and returns the index of every
-// high-run tail — the t_F markers of Figure 7.
+// high-run tail — the t_F markers of Figure 7. The markers live in the
+// demodulator's scratch, valid until the next detection.
 func (d *Demodulator) comparatorTails(env []float64) []int {
 	d.scratchBit = d.comparator.Quantize(d.scratchBit, env)
 	bits := d.scratchBit
-	var tails []int
+	tails := d.scratchIdx[:0]
 	for i := 0; i < len(bits); i++ {
 		if bits[i] && (i+1 == len(bits) || !bits[i+1]) {
 			tails = append(tails, i)
 		}
 	}
+	d.scratchIdx = tails
 	return tails
 }
 
@@ -75,14 +77,16 @@ func (d *Demodulator) comparatorTails(env []float64) []int {
 // positive minPeak additionally demands the envelope within each peak's
 // symbol window actually rises to that level (0 disables the gate,
 // preserving the maximum sensitivity of the synchronized per-frame path).
+// Like comparatorTails, it returns scratch valid until the next detection.
 func (d *Demodulator) correlationPeaks(env []float64, minPeak float64) []int {
 	tmpl := d.detectionTemplate()
 	if len(tmpl) == 0 || len(env) < len(tmpl) {
 		return nil
 	}
-	c := dsp.NormalizedCrossCorrelate(nil, env, tmpl)
+	d.scratchCorr = dsp.NormalizedCrossCorrelate(d.scratchCorr, env, tmpl)
+	c := d.scratchCorr
 	spb := int(math.Round(d.spbSamp))
-	var peaks []int
+	peaks := d.scratchIdx[:0]
 	for i := 0; i < len(c); i++ {
 		if c[i] < corrDetectThreshold {
 			continue
@@ -94,6 +98,7 @@ func (d *Demodulator) correlationPeaks(env []float64, minPeak float64) []int {
 			peaks = append(peaks, i)
 		}
 	}
+	d.scratchIdx = peaks
 	return peaks
 }
 

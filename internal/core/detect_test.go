@@ -23,7 +23,7 @@ func streamEnvelope(t testing.TB, d *Demodulator, frame *lora.Frame, offsetSymbo
 	if need := int(math.Round(offsetSymbols*float64(spbSim))) + len(traj); need > total {
 		total = need
 	}
-	x := make([]complex128, total)
+	x := make([]float64, total)
 	d.ComposeSignal(x, int(math.Round(offsetSymbols*float64(spbSim))), traj, rssDBm)
 	env, _ := d.Render(nil, nil, x, rng)
 	return env
@@ -109,7 +109,7 @@ func TestDetectPreambleFalsePositiveRate(t *testing.T) {
 		const trials = 40
 		false1 := 0
 		for trial := 0; trial < trials; trial++ {
-			x := make([]complex128, 60*spbSim)
+			x := make([]float64, 60*spbSim)
 			env, _ := d.Render(nil, nil, x, dsp.NewRand(uint64(trial), 23))
 			if _, ok := d.DetectPreambleGated(env, baseline+4*sigma); ok {
 				false1++

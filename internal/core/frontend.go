@@ -53,13 +53,20 @@ type Demodulator struct {
 	fx *fxp.Decoder
 
 	// Scratch buffers to keep the per-frame hot path allocation-free.
-	scratchIQ  []complex128
-	scratchEnv []float64
+	// A render holds two simulation-rate buffers: scratchAnt (the antenna
+	// signal, detected in place) and scratchBuf (the flicker noise, then
+	// the IF band-pass output).
+	scratchAnt []float64
 	scratchBuf []float64
 	scratchBit []bool
 	scratchOwn []edgeInfo
 	scratchBnd []bool
 	scratchEnd []bool
+
+	// scratchCorr and scratchIdx hold preamble detection's correlation and
+	// marker indices.
+	scratchCorr []float64
+	scratchIdx  []int
 }
 
 // edgeInfo records a symbol window's own mid-window falling edge for the
@@ -162,8 +169,9 @@ func (d *Demodulator) SamplerIndex(i int) int {
 // continuous antenna view of a whole multi-tag timeline (frames, gaps, even
 // colliding frames) that Render then pushes through the analog chain in one
 // pass. A single transmission is composed at offset 0 into a cleared
-// buffer. Samples falling outside x are clipped.
-func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rssDBm float64) {
+// buffer. Samples falling outside x are clipped. The antenna signal is
+// real: the complex envelope only appears once Render adds front-end noise.
+func (d *Demodulator) ComposeSignal(x []float64, at int, trajHz []float64, rssDBm float64) {
 	amp := d.snrAmplitude(rssDBm)
 	carrier := d.cfg.Params.CarrierHz
 	saw := d.cfg.SAW
@@ -175,19 +183,19 @@ func (d *Demodulator) ComposeSignal(x []complex128, at int, trajHz []float64, rs
 		if j >= len(x) {
 			break
 		}
-		x[j] += complex(amp*saw.Gain(carrier+f), 0)
+		x[j] += amp * saw.Gain(carrier+f)
 	}
 }
 
-// antenna composes one transmission at offset 0 into the cleared IQ
+// antenna composes one transmission at offset 0 into the cleared antenna
 // scratch buffer, ready for Render. The result is only valid until the next
 // call.
-func (d *Demodulator) antenna(trajHz []float64, rssDBm float64) []complex128 {
+func (d *Demodulator) antenna(trajHz []float64, rssDBm float64) []float64 {
 	n := len(trajHz)
-	if cap(d.scratchIQ) < n {
-		d.scratchIQ = make([]complex128, n)
+	if cap(d.scratchAnt) < n {
+		d.scratchAnt = make([]float64, n)
 	}
-	x := d.scratchIQ[:n]
+	x := d.scratchAnt[:n]
 	clear(x)
 	d.ComposeSignal(x, 0, trajHz, rssDBm)
 	return x
@@ -204,25 +212,27 @@ func (d *Demodulator) antenna(trajHz []float64, rssDBm float64) []complex128 {
 // SimIndex); it is the chain's only decimator.
 //
 // Front-end noise of unit power is added when rng is non-nil; pass nil for
-// a noise-free reference render (calibration, correlation templates). x is
-// mutated in place by the noise and the mixers. A continuous capture is one
-// Render of its whole timeline, so frames, idle gaps, and chunk boundaries
-// share one contiguous envelope with no per-frame filter edge transients.
-func (d *Demodulator) Render(env, envC []float64, x []complex128, rng *rand.Rand) ([]float64, []float64) {
+// a noise-free reference render (calibration, correlation templates). The
+// real antenna signal x becomes the complex envelope only inside one fused
+// noise/mix/detect pass (analog.EnvelopeDetector.Detect), which overwrites
+// x with the detector output. The chain then needs one more
+// simulation-rate buffer, the demodulator's scratch, which holds the
+// flicker noise and then the IF band-pass output: two float64 buffers per
+// capture in all. A continuous capture is one Render of its whole
+// timeline, so frames, idle gaps, and chunk boundaries share one
+// contiguous envelope with no per-frame filter edge transients.
+func (d *Demodulator) Render(env, envC []float64, x []float64, rng *rand.Rand) ([]float64, []float64) {
 	det := d.cfg.Envelope
-	if rng != nil {
-		dsp.AddComplexNoise(x, 1, rng)
-	}
+	clockHz := 0.0
 	if d.cfg.Mode != ModeVanilla {
 		// Cyclic-frequency shifting (Figure 9): mix up, square, band-pass
 		// at the IF, amplify, mix down, low-pass.
-		clock := analog.Oscillator{FreqHz: d.ifHz / 2}
-		clock.MixComplex(x, d.fsSim, 0)
+		clockHz = d.ifHz / 2
 	}
-	d.scratchEnv = det.Detect(d.scratchEnv, x)
-	y := d.scratchEnv
+	det.Detect(x, clockHz, d.fsSim, rng)
+	y := x
 	if rng != nil {
-		det.AddBasebandImpairments(y, d.fsSim, rng)
+		d.scratchBuf = det.AddBasebandImpairments(y, d.fsSim, rng, d.scratchBuf)
 	}
 	if d.cfg.Mode != ModeVanilla {
 		d.scratchBuf = d.bpf.Apply(d.scratchBuf, y)

@@ -61,7 +61,7 @@ func pinRender(d *Demodulator, in pinInput) (env, envC []float64) {
 		return d.Render(nil, nil, d.antenna(pinTrajectory(d, tx.symbols), tx.rssDBm), rng)
 	}
 	spb := float64(d.spbSimInt)
-	x := make([]complex128, int(math.Round(float64(in.total)*spb)))
+	x := make([]float64, int(math.Round(float64(in.total)*spb)))
 	for _, tx := range in.tx {
 		d.ComposeSignal(x, int(math.Round(tx.at*spb)), pinTrajectory(d, tx.symbols), tx.rssDBm)
 	}

@@ -40,11 +40,12 @@ func NormalizedCrossCorrelate(dst, x, h []float64) []float64 {
 	dst = dst[:n]
 	m := len(h)
 	hm := Mean(h)
-	hc := make([]float64, m)
+	// The template is centered on the fly, h[i]-hm, in both the energy and
+	// the dot product, so the correlation needs no buffer of its own.
 	var hEnergy float64
-	for i, v := range h {
-		hc[i] = v - hm
-		hEnergy += hc[i] * hc[i]
+	for _, v := range h {
+		c := v - hm
+		hEnergy += c * c
 	}
 	if hEnergy == 0 {
 		for i := range dst {
@@ -74,8 +75,8 @@ func NormalizedCrossCorrelate(dst, x, h []float64) []float64 {
 		}
 		var dot float64
 		seg := x[lag : lag+m]
-		for i, hv := range hc {
-			dot += hv * seg[i]
+		for i, hv := range h {
+			dot += (hv - hm) * seg[i]
 		}
 		dst[lag] = dot / (hNorm * math.Sqrt(energy))
 	}

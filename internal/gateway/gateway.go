@@ -11,9 +11,11 @@
 // churn — joins, departures, mobility — and any scheduled channel
 // degradations; (2) renders every channel's tag population into a
 // continuous multi-tag capture (grouped by the tags' current downlink
-// rate, since the rate sets the PHY alphabet) and demodulates all captures
-// through one shared worker pool per rate group, segmentation interleaved
-// round-robin across channels; (3) folds the decode results into the
+// rate, since the rate sets the PHY alphabet) — the groups render
+// concurrently on the Workers budget and are then folded serially in
+// (rate, channel) order — and demodulates all captures through one shared
+// worker pool per rate group, segmentation interleaved round-robin across
+// channels; (3) folds the decode results into the
 // session registry — frame dedup by per-tag payload sequence number,
 // sliding-window PRR/SNR/offset accounting; and (4) runs the control loop,
 // whose commands take effect on the next epoch's schedule.

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"saiyan/internal/core"
 	"saiyan/internal/pipeline"
 	"saiyan/internal/sim"
 	"saiyan/internal/stream"
@@ -123,17 +126,17 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	if g.met != nil {
 		renderStart = time.Now()
 	}
-	for _, grp := range plan.groups {
-		demod := g.cfg.Demod
-		demod.Params = g.params(grp.k)
-		capture, err := grp.set.RenderTimeline(demod, grp.tl)
-		if err != nil {
-			return fmt.Errorf("rendering K=%d channel %d: %w", grp.k, grp.channel, err)
+	// Only the renders run concurrently; everything after them walks the
+	// groups serially in (K, channel) order.
+	errs := g.renderGroups(plan.groups)
+	for i, grp := range plan.groups {
+		if errs[i] != nil {
+			return fmt.Errorf("rendering K=%d channel %d: %w", grp.k, grp.channel, errs[i])
 		}
-		grp.capture = capture
+		capture := grp.capture
 		grp.outcomes = make([]eventOutcome, len(capture.Events))
 		scfg := stream.Config{
-			Demod:          demod,
+			Demod:          g.demod(grp.k),
 			PayloadSymbols: capture.PayloadSymbols,
 			HuntRSSDBm:     g.huntRSS(grp),
 			Seed:           g.cfg.Seed,
@@ -183,6 +186,40 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	return nil
 }
 
+// demod is the demodulator chain of rate group k.
+func (g *Gateway) demod(k int) core.Config {
+	demod := g.cfg.Demod
+	demod.Params = g.params(k)
+	return demod
+}
+
+// renderGroups renders every group's capture into grp.capture on
+// min(Workers, len(groups)) goroutines pulling group indices from a shared
+// counter, and returns each group's render error by index. A render is a
+// pure function of its group (its own demodulator, tag set and RNG
+// streams), so which goroutine renders which group changes no byte.
+func (g *Gateway) renderGroups(groups []*ingestGroup) []error {
+	errs := make([]error, len(groups))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(g.cfg.Workers, len(groups)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(groups) {
+					return
+				}
+				grp := groups[i]
+				grp.capture, errs[i] = grp.set.RenderTimeline(g.demod(grp.k), grp.tl)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // matcher resolves extracted windows against the group's schedule while
 // recording, in emission order, which event each matched window claimed
 // and its detection offset — the identity the result fold needs. Each
@@ -218,7 +255,7 @@ type jobMeta struct {
 // still decode before Drain returns.
 func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) error {
 	pcfg := pipeline.Config{
-		Demod:   g.cfg.Demod,
+		Demod:   g.demod(groups[0].k),
 		Workers: g.cfg.Workers,
 		Seed:    g.cfg.Seed,
 		Metrics: g.cfg.Metrics,
@@ -226,7 +263,6 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		// FlightShard to 1), keeping shard 0 to the segmenter above.
 		Flight: g.cfg.Flight,
 	}
-	pcfg.Demod.Params = g.params(groups[0].k)
 	p, err := pipeline.New(pcfg)
 	if err != nil {
 		return err

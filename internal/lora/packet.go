@@ -100,10 +100,8 @@ func (f *Frame) FreqTrajectory(dst []float64, sampleRate float64) []float64 {
 	}
 	dst = dst[:total]
 	at := 0
-	sym := make([]float64, 0, spb)
 	for i := 0; i < PreambleUpchirps; i++ {
-		sym = p.FreqTrajectory(sym[:0], 0, sampleRate)
-		copy(dst[at:], sym)
+		p.FreqTrajectory(dst[at:at+spb], 0, sampleRate)
 		at += spb
 	}
 	for i := 0; i < syncSamples; i++ {
@@ -111,8 +109,7 @@ func (f *Frame) FreqTrajectory(dst []float64, sampleRate float64) []float64 {
 	}
 	at += syncSamples
 	for _, s := range f.Payload {
-		sym = p.FreqTrajectory(sym[:0], p.SymbolValue(s), sampleRate)
-		copy(dst[at:], sym)
+		p.FreqTrajectory(dst[at:at+spb], p.SymbolValue(s), sampleRate)
 		at += spb
 	}
 	return dst

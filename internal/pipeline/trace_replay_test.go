@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"testing"
@@ -175,20 +176,28 @@ func TestTeeWithSamples(t *testing.T) {
 
 // TestRecordDeterministicBytes verifies the tee emits byte-identical trace
 // files regardless of worker count — the recorder reorders results back
-// into submission order.
+// into submission order — in every demod mode and on both datapaths.
 func TestRecordDeterministicBytes(t *testing.T) {
-	var first []byte
-	for _, workers := range []int{1, 4} {
-		cfg, src, err := goldenConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = workers
-		data, _ := recordToBuffer(t, cfg, src, false)
-		if first == nil {
-			first = data
-		} else if !bytes.Equal(first, data) {
-			t.Errorf("trace bytes differ between 1 and %d workers", workers)
+	for _, mode := range []core.Mode{core.ModeVanilla, core.ModeFreqShift, core.ModeFull} {
+		for _, dp := range []core.Datapath{core.DatapathFloat, core.DatapathFixed} {
+			t.Run(fmt.Sprintf("%v/%v", mode, dp), func(t *testing.T) {
+				var first []byte
+				for _, workers := range []int{1, 4, 8} {
+					cfg, src, err := goldenConfig()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Workers = workers
+					cfg.Demod.Mode = mode
+					cfg.Demod.Datapath = dp
+					data, _ := recordToBuffer(t, cfg, src, false)
+					if first == nil {
+						first = data
+					} else if !bytes.Equal(first, data) {
+						t.Errorf("trace bytes differ between 1 and %d workers", workers)
+					}
+				}
+			})
 		}
 	}
 }

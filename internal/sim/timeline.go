@@ -214,7 +214,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 
 	// Compose the superposed antenna signal and render the whole capture
 	// through the chain once.
-	x := make([]complex128, prevEnd+symSamples(tl.LeadSymbols))
+	x := make([]float64, prevEnd+symSamples(tl.LeadSymbols))
 	for i, ev := range events {
 		d.ComposeSignal(x, ev.StartSim, trajs[i], ev.RSSDBm)
 	}
