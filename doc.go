@@ -115,7 +115,8 @@
 // amplitude-gated correlation detection, symbol-aligned window extraction
 // with state carried across chunk boundaries — and feeds each extracted
 // window into the same worker pool as every other workload. Workers
-// bootstrap thresholds from the window's own preamble (AGC), re-sync on
+// bootstrap thresholds from the window's own preamble (AGC, with Amax and
+// the baseline at the envelope's 98th and 25th percentiles), re-sync on
 // the end of the preamble run (robust to the noise-degraded leading
 // chirp), and decode. Segmentation overlaps demodulation, and the outcome
 // is identical for any worker count and any chunk size. NewStreamSource

@@ -16,19 +16,14 @@ import (
 // tag derives its thresholds from the statistics of the incoming frame's
 // own preamble, so no calibration table is needed.
 
-// AGCConfig tunes the online threshold estimator.
-type AGCConfig struct {
-	// PeakPercentile estimates Amax from the envelope (robust to spikes).
-	PeakPercentile float64
-	// FloorPercentile estimates the baseline level.
-	FloorPercentile float64
-}
-
-// DefaultAGCConfig returns estimator settings that track the offline
+// Online threshold estimator percentiles, which track the offline
 // calibration closely across the link budget's working range.
-func DefaultAGCConfig() AGCConfig {
-	return AGCConfig{PeakPercentile: 98, FloorPercentile: 25}
-}
+const (
+	// agcPeakPercentile estimates Amax from the envelope (robust to spikes).
+	agcPeakPercentile = 98
+	// agcFloorPercentile estimates the baseline level.
+	agcFloorPercentile = 25
+)
 
 // AutoCalibrate derives comparator thresholds, the noise baseline, and (in
 // ModeFull) the correlation templates from an observed envelope — normally
@@ -38,12 +33,9 @@ func DefaultAGCConfig() AGCConfig {
 // Template shapes are RSS independent (the chain downstream of the square
 // law is linear, and the correlation decoder normalizes), so templates are
 // rendered once at a nominal level.
-func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
-	if agc.PeakPercentile <= 0 || agc.PeakPercentile > 100 {
-		agc = DefaultAGCConfig()
-	}
-	peak := dsp.Percentile(env, agc.PeakPercentile)
-	floor := dsp.Percentile(env, agc.FloorPercentile)
+func (d *Demodulator) AutoCalibrate(env []float64) {
+	peak := dsp.Percentile(env, agcPeakPercentile)
+	floor := dsp.Percentile(env, agcFloorPercentile)
 	if floor > peak {
 		floor = peak
 	}
@@ -53,19 +45,7 @@ func (d *Demodulator) AutoCalibrate(env []float64, agc AGCConfig) {
 	// the band-bottom response plus noise lives.
 	low := dsp.Percentile(env, 45)
 	d.noiseSigma = math.Max((low-floor)/0.6745, 1e-12) // MAD-style robust sigma
-
-	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
-	high := floor + (peak-floor)*headroom
-	uf := math.Max(2*d.noiseSigma, 0.25*(peak-floor))
-	lowTh := high - uf
-	minLow := floor + d.noiseSigma
-	if lowTh < minLow {
-		lowTh = minLow
-	}
-	if lowTh > high {
-		lowTh = high
-	}
-	d.comparator = analog.Comparator{High: high, Low: lowTh}
+	d.comparator = d.thresholdsFor(floor, peak, d.noiseSigma)
 	d.peakBias = d.nominalBias()
 
 	if d.cfg.Mode == ModeFull && d.templates == nil {
@@ -105,26 +85,21 @@ const templateNominalRSS = -40.0
 
 // autoBootstrap derives comparator thresholds from the leading half of the
 // preamble of an observed envelope via AutoCalibrate.
-func (d *Demodulator) autoBootstrap(env []float64, agc AGCConfig) {
+func (d *Demodulator) autoBootstrap(env []float64) {
 	boot := int(math.Round(d.spbSamp * lora.PreambleUpchirps / 2))
 	if boot > len(env) {
 		boot = len(env)
 	}
-	d.AutoCalibrate(env[:boot], agc)
+	d.AutoCalibrate(env[:boot])
 }
 
 // ProcessFrameAuto demodulates a frame with no prior calibration: it
 // renders the envelope, bootstraps thresholds from the leading preamble
 // portion via AGC, then detects and decodes as usual. This is the
 // plug-and-play mode a field deployment would use.
-func (d *Demodulator) ProcessFrameAuto(frame *lora.Frame, rssDBm float64, agc AGCConfig, rng *rand.Rand) ([]int, bool, error) {
+func (d *Demodulator) ProcessFrameAuto(frame *lora.Frame, rssDBm float64, rng *rand.Rand) ([]int, bool, error) {
 	traj := frame.FreqTrajectory(nil, d.fsSim)
 	env, envC := d.Render(nil, nil, d.antenna(traj, rssDBm), rng)
-	d.autoBootstrap(env, agc)
-	start, ok := d.DetectPreamble(env)
-	if !ok {
-		return nil, false, nil
-	}
-	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
-	return d.decodePayloadAt(env, envC, payloadAt, len(frame.Payload))
+	d.autoBootstrap(env)
+	return d.decodeFrame(env, envC, len(frame.Payload))
 }

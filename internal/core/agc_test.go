@@ -25,7 +25,7 @@ func TestAutoCalibrateMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, detected, err := d.ProcessFrameAuto(frame, rss, DefaultAGCConfig(), rng)
+		got, detected, err := d.ProcessFrameAuto(frame, rss, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,16 +62,10 @@ func TestAutoCalibrateThresholdsSane(t *testing.T) {
 		traj = append(traj, p.FreqTrajectory(nil, 0, d.SimRateHz())...)
 	}
 	env, _ := d.Render(nil, nil, d.antenna(traj, -65), rng)
-	d.AutoCalibrate(env, DefaultAGCConfig())
+	d.AutoCalibrate(env)
 	c := d.Thresholds()
 	if !(c.High > c.Low && c.Low >= 0) {
 		t.Errorf("AGC thresholds malformed: H=%g L=%g", c.High, c.Low)
-	}
-	// Degenerate AGC config falls back to defaults instead of exploding.
-	d.AutoCalibrate(env, AGCConfig{PeakPercentile: -5})
-	c2 := d.Thresholds()
-	if !(c2.High > 0) {
-		t.Error("fallback AGC config produced empty thresholds")
 	}
 }
 
@@ -91,7 +85,7 @@ func TestAGCAcrossDistances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, detected, err := d.ProcessFrameAuto(frame, rss, DefaultAGCConfig(), rng)
+		got, detected, err := d.ProcessFrameAuto(frame, rss, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,23 +37,7 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	}
 	sig, _ := d.Render(nil, nil, d.antenna(traj, rssDBm), rng)
 	d.amax = dsp.Percentile(sig, 99)
-
-	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
-	high := d.baseline + (d.amax-d.baseline)*headroom
-	// U_F: the envelope fluctuation amplitude. Use the larger of the noise
-	// ripple and a fixed fraction of the swing so U_L stays meaningful at
-	// high SNR too.
-	uf := math.Max(2*d.noiseSigma, 0.25*(d.amax-d.baseline))
-	low := high - uf
-	// Keep U_L above the baseline ripple so the comparator can reset.
-	minLow := d.baseline + d.noiseSigma
-	if low < minLow {
-		low = minLow
-	}
-	if low > high {
-		low = high
-	}
-	d.comparator = analog.Comparator{High: high, Low: low}
+	d.comparator = d.thresholdsFor(d.baseline, d.amax, d.noiseSigma)
 	d.peakBias = d.measureDecodeBias(rssDBm)
 
 	if d.cfg.Mode == ModeFull {
@@ -66,6 +50,28 @@ func (d *Demodulator) Calibrate(rssDBm float64, rng *rand.Rand) {
 	}
 	d.syncFx()
 	d.calibrated = true
+}
+
+// thresholdsFor derives the comparator from the envelope's no-signal
+// baseline, peak amplitude Amax and noise sigma: U_H = baseline +
+// (Amax-baseline)/10^(G/20) and U_L = U_H - U_F. Calibrate and
+// AutoCalibrate differ only in how they measure the three inputs.
+func (d *Demodulator) thresholdsFor(baseline, amax, sigma float64) analog.Comparator {
+	headroom := math.Pow(10, -d.cfg.ThresholdGapDB/20)
+	high := baseline + (amax-baseline)*headroom
+	// U_F: the envelope fluctuation amplitude. Use the larger of the noise
+	// ripple and a fixed fraction of the swing so U_L stays meaningful at
+	// high SNR too.
+	uf := math.Max(2*sigma, 0.25*(amax-baseline))
+	low := high - uf
+	// Keep U_L above the baseline ripple so the comparator can reset.
+	if minLow := baseline + sigma; low < minLow {
+		low = minLow
+	}
+	if low > high {
+		low = high
+	}
+	return analog.Comparator{High: high, Low: low}
 }
 
 // measureDecodeBias quantifies the systematic lag between a chirp's true

@@ -27,10 +27,7 @@ const (
 // Figure 7); ModeFull correlates against a one-symbol template, the
 // packet-detection technique of Section 3.2.
 func (d *Demodulator) DetectPreamble(env []float64) (int, bool) {
-	if d.cfg.Mode == ModeFull {
-		return d.detectByCorrelation(env, 0)
-	}
-	return d.detectByComparator(env)
+	return d.DetectPreambleGated(env, 0)
 }
 
 // DetectPreambleGated is DetectPreamble with a minimum envelope excursion

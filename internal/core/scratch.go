@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"saiyan/internal/lora"
@@ -36,15 +35,7 @@ func (d *Demodulator) ProcessFrameScratch(frame *lora.Frame, rssDBm float64, rng
 	}
 	s.Traj = frame.FreqTrajectory(s.Traj[:0], d.fsSim)
 	s.Env, s.EnvC = d.Render(s.Env, s.EnvC, d.antenna(s.Traj, rssDBm), rng)
-	start, ok := d.DetectPreamble(s.Env)
-	if !ok {
-		return nil, false, nil
-	}
-	// DetectPreamble returns where the first preamble symbol begins; the
-	// payload follows the ten up-chirps and 2.25 sync symbol times
-	// (Section 2.2, Figure 8).
-	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
-	return d.decodePayloadAt(s.Env, s.EnvC, payloadAt, len(frame.Payload))
+	return d.decodeFrame(s.Env, s.EnvC, len(frame.Payload))
 }
 
 // Clone returns an independent demodulator with the same configuration and

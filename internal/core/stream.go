@@ -1,5 +1,11 @@
 package core
 
+import (
+	"math"
+
+	"saiyan/internal/lora"
+)
+
 // Continuous-stream reception: a segmenter (internal/stream) hunts preambles
 // in an unbounded envelope capture and hands each extracted window to
 // DecodeStreamWindow. Unlike ProcessFrame, nothing here renders — the
@@ -45,17 +51,30 @@ func (d *Demodulator) PrewarmAuto() {
 // degraded leading chirp) and decodes the payload with the calibrated
 // peakBias timing. It returns the decoded symbols and whether the preamble
 // was confirmed.
-func (d *Demodulator) DecodeStreamWindow(env, envC []float64, nSymbols int, agc AGCConfig) ([]int, bool, error) {
+func (d *Demodulator) DecodeStreamWindow(env, envC []float64, nSymbols int) ([]int, bool, error) {
 	if nSymbols < 0 {
 		nSymbols = 0
 	}
 	// The segmenter aligned the window start to the detected preamble, so
 	// the bootstrap region is signal, not gap.
-	d.autoBootstrap(env, agc)
+	d.autoBootstrap(env)
 	payloadAt, ok := d.DetectFrameSync(env)
 	if !ok {
 		return nil, false, nil
 	}
+	return d.decodePayloadAt(env, envC, payloadAt, nSymbols)
+}
+
+// decodeFrame detects the preamble in a rendered frame and decodes the
+// nSymbols payload symbols behind it. DetectPreamble returns where the
+// first preamble symbol begins; the payload follows the ten up-chirps and
+// 2.25 sync symbol times (Section 2.2, Figure 8).
+func (d *Demodulator) decodeFrame(env, envC []float64, nSymbols int) ([]int, bool, error) {
+	start, ok := d.DetectPreamble(env)
+	if !ok {
+		return nil, false, nil
+	}
+	payloadAt := start + int(math.Round((float64(lora.PreambleUpchirps)+lora.SyncSymbols)*d.spbSamp))
 	return d.decodePayloadAt(env, envC, payloadAt, nSymbols)
 }
 

@@ -109,15 +109,24 @@ func (g *Gateway) fold(plan *epochPlan) {
 	}
 }
 
+// Link-margin BER model of berForRate: a rate K is usable when the session
+// SNR clears baseSNRReqDB + snrStepPerRateDB*(K-1), with berSlopeDB dB of
+// margin per decade of BER.
+const (
+	baseSNRReqDB     = 25
+	snrStepPerRateDB = 8
+	berSlopeDB       = 4
+)
+
 // berForRate extrapolates a session's link evidence to rate k: the margin
 // of the SNR belief over the rate's requirement sets a model BER (halving
-// the symbol alphabet spacing costs SNRStepPerRateDB per K step), and a
+// the symbol alphabet spacing costs snrStepPerRateDB per K step), and a
 // lossy delivery window vetoes anything above the floor rate — missing
 // frames are the loudest evidence the link cannot support more bits per
 // chirp.
 func (g *Gateway) berForRate(s *session, k int) float64 {
-	margin := s.snrEst - (g.cfg.BaseSNRReqDB + g.cfg.SNRStepPerRateDB*float64(k-1))
-	ber := 0.5 * math.Pow(10, -margin/g.cfg.BERSlopeDB)
+	margin := s.snrEst - (baseSNRReqDB + snrStepPerRateDB*float64(k-1))
+	ber := 0.5 * math.Pow(10, -margin/berSlopeDB)
 	if ber > 0.5 {
 		ber = 0.5
 	}

@@ -127,13 +127,6 @@ type Config struct {
 	// Degrade schedules channel-quality changes.
 	Degrade []Degradation
 
-	// Link-margin BER model (see berForRate): a rate K is usable when the
-	// session SNR clears BaseSNRReqDB + SNRStepPerRateDB*(K-1), with
-	// BERSlopeDB dB of margin per decade of BER. Defaults 25 / 8 / 4.
-	BaseSNRReqDB     float64
-	SNRStepPerRateDB float64
-	BERSlopeDB       float64
-
 	// RecalThresholdDB re-anchors a session's calibration when its SNR
 	// belief drifts this far from the anchor. Default 3 dB.
 	RecalThresholdDB float64
@@ -248,15 +241,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RetryMax == 0 {
 		c.RetryMax = 3
-	}
-	if c.BaseSNRReqDB == 0 {
-		c.BaseSNRReqDB = 25
-	}
-	if c.SNRStepPerRateDB == 0 {
-		c.SNRStepPerRateDB = 8
-	}
-	if c.BERSlopeDB == 0 {
-		c.BERSlopeDB = 4
 	}
 	if c.RecalThresholdDB == 0 {
 		c.RecalThresholdDB = 3

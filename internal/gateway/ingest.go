@@ -129,6 +129,14 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 	// Only the renders run concurrently; everything after them walks the
 	// groups serially in (K, channel) order.
 	errs := g.renderGroups(plan.groups)
+	g.met.stageSince(stageRender, renderStart)
+
+	// Receiver work from here on: calibrating each group's hunt
+	// demodulator, segmentation, and the worker pools.
+	var decodeStart time.Time
+	if g.met != nil {
+		decodeStart = time.Now()
+	}
 	for i, grp := range plan.groups {
 		if errs[i] != nil {
 			return fmt.Errorf("rendering K=%d channel %d: %w", grp.k, grp.channel, errs[i])
@@ -153,14 +161,9 @@ func (g *Gateway) ingest(ctx context.Context, plan *epochPlan) error {
 		}
 		grp.src = src
 	}
-	g.met.stageSince(stageRender, renderStart)
 
 	// One worker pool per rate: groups sharing a K share PHY parameters and
 	// therefore a pipeline, whatever channel they arrived on.
-	var decodeStart time.Time
-	if g.met != nil {
-		decodeStart = time.Now()
-	}
 	for lo := 0; lo < len(plan.groups); {
 		hi := lo
 		for hi < len(plan.groups) && plan.groups[hi].k == plan.groups[lo].k {
@@ -259,8 +262,8 @@ func (g *Gateway) ingestRateGroup(ctx context.Context, groups []*ingestGroup) er
 		Workers: g.cfg.Workers,
 		Seed:    g.cfg.Seed,
 		Metrics: g.cfg.Metrics,
-		// Workers write flight shards 1..Workers (pipeline defaults
-		// FlightShard to 1), keeping shard 0 to the segmenter above.
+		// Workers write flight shards 1..Workers, keeping shard 0 to the
+		// segmenter above.
 		Flight: g.cfg.Flight,
 	}
 	p, err := pipeline.New(pcfg)

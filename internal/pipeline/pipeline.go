@@ -45,17 +45,11 @@ type Config struct {
 	Demod core.Config
 
 	// Workers is the demodulator pool size. Default: runtime.GOMAXPROCS(0).
+	// Submit blocks once 2*Workers batches are in flight (backpressure),
+	// and the Results channel buffers 4*Workers frames: unless
+	// DiscardResults is set, the consumer must drain Results concurrently
+	// with submission or the workers stall once it fills.
 	Workers int
-
-	// QueueDepth bounds the batch queue between Submit and the workers;
-	// Submit blocks once QueueDepth batches are in flight (backpressure).
-	// Default: 2 * Workers.
-	QueueDepth int
-
-	// ResultBuffer sizes the Results channel. Default: 4 * Workers frames.
-	// Unless DiscardResults is set, the consumer must drain Results
-	// concurrently with submission or the workers stall once it fills.
-	ResultBuffer int
 
 	// DiscardResults drops per-frame results and keeps only Stats; use for
 	// throughput measurements where the aggregate is the product.
@@ -71,12 +65,6 @@ type Config struct {
 	// table rather than recalibrating per packet.
 	CalibrationQuantumDB float64
 
-	// AGC tunes the online threshold estimator used for stream jobs
-	// (Job.Env): extracted windows carry no distance information, so each
-	// worker bootstraps thresholds from the window's own preamble. The zero
-	// value uses core.DefaultAGCConfig.
-	AGC core.AGCConfig
-
 	// Metrics, when non-nil, receives the pipeline's observability series:
 	// submit queue depth, batch and per-frame decode latency, scratch-pool
 	// churn, and the fxp cycle distribution. Instrumentation is write-only
@@ -90,12 +78,9 @@ type Config struct {
 	// processed job that carries a trace ID (Job.Trace != 0), and trace
 	// IDs ride into the latency/cycle histogram buckets as exemplars.
 	// Write-only like Metrics: nothing is read back into a decode, so the
-	// symbol stream is identical with the recorder on or off.
+	// symbol stream is identical with the recorder on or off. Worker w
+	// writes shard 1+w, leaving shard 0 to the submission-side segmenter.
 	Flight *flight.Recorder
-	// FlightShard is the recorder shard of worker 0; worker w writes
-	// shard FlightShard+w. Defaults to 1 when Flight is set, leaving
-	// shard 0 to the submission-side segmenter.
-	FlightShard int
 }
 
 // withDefaults fills zero fields and validates.
@@ -106,26 +91,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers < 1 {
 		return c, fmt.Errorf("pipeline: workers %d < 1", c.Workers)
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.QueueDepth < 1 {
-		return c, fmt.Errorf("pipeline: queue depth %d < 1", c.QueueDepth)
-	}
-	if c.ResultBuffer == 0 {
-		c.ResultBuffer = 4 * c.Workers
-	}
-	if c.ResultBuffer < 1 {
-		return c, fmt.Errorf("pipeline: result buffer %d < 1", c.ResultBuffer)
-	}
 	if c.CalibrationQuantumDB == 0 {
 		c.CalibrationQuantumDB = 1
 	}
 	if c.CalibrationQuantumDB < 0 {
 		return c, fmt.Errorf("pipeline: calibration quantum %g dB < 0", c.CalibrationQuantumDB)
-	}
-	if c.Flight != nil && c.FlightShard == 0 {
-		c.FlightShard = 1
 	}
 	return c, nil
 }
@@ -312,8 +282,8 @@ func New(cfg Config) (*Pipeline, error) {
 
 	p := &Pipeline{
 		cfg:      cfg,
-		jobs:     make(chan []job, cfg.QueueDepth),
-		results:  make(chan Result, cfg.ResultBuffer),
+		jobs:     make(chan []job, 2*cfg.Workers),
+		results:  make(chan Result, 4*cfg.Workers),
 		calCache: make(map[float64]*core.Demodulator),
 	}
 	p.met = newPipelineMetrics(cfg.Metrics, cfg.Workers)
@@ -641,7 +611,7 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		if ws.streamD == nil {
 			ws.streamD = p.streamBase().Clone()
 		}
-		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols, p.cfg.AGC)
+		res.Symbols, res.Detected, res.Err = ws.streamD.DecodeStreamWindow(j.Env, j.EnvC, j.NSymbols)
 		cycles = ws.streamD.TakeFxpCycles()
 	default:
 		res.Err = errEmptyJob
@@ -680,7 +650,7 @@ func (p *Pipeline) process(ws *workerState, sc *core.FrameScratch, j job, w int)
 		if res.Err != nil || !res.Detected {
 			dec = flight.DecodeErr
 		}
-		p.cfg.Flight.Append(p.cfg.FlightShard+w, flight.Span{
+		p.cfg.Flight.Append(1+w, flight.Span{
 			Trace:    j.Trace,
 			Tag:      uint16(j.Tag),
 			Stage:    flight.StageDecode,

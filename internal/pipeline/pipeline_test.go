@@ -274,8 +274,7 @@ func TestDrainGraceful(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
 	cfg := DefaultConfig()
 	cfg.Seed = testSeed
-	cfg.Workers = 2
-	cfg.QueueDepth = 1 // force Submit to exercise backpressure
+	cfg.Workers = 1 // a two-batch queue: six single-job submits exercise backpressure
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +315,7 @@ func TestDiscardResults(t *testing.T) {
 	jobs := testTraffic(t, 3, 2)
 	cfg := DefaultConfig()
 	cfg.Seed = testSeed
-	cfg.Workers = 2
-	cfg.ResultBuffer = 1
+	cfg.Workers = 1 // a four-frame Results buffer, smaller than the six jobs
 	cfg.DiscardResults = true
 	p, err := New(cfg)
 	if err != nil {
@@ -354,8 +352,6 @@ func TestNilFrameSurfacesError(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
-		{QueueDepth: -2},
-		{ResultBuffer: -3},
 		{CalibrationQuantumDB: -1},
 	}
 	for i, cfg := range bad {

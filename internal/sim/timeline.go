@@ -24,28 +24,30 @@ const (
 	noiseStream    = 1<<30 + 1
 )
 
+// Timeline shape, in symbol times.
+const (
+	// minGapSymbols / maxGapSymbols bound the idle gap drawn before each
+	// frame. minGapSymbols also sets the floor that keeps adjacent frames
+	// unambiguous to Match.
+	minGapSymbols = 2
+	maxGapSymbols = 12
+	// leadSymbols is the idle air before the first frame and after the
+	// last (so segmentation never sees a frame at sample zero).
+	leadSymbols = 4
+	// overlapSymbols is the collision depth of an OverlapEvery frame.
+	overlapSymbols = 4
+)
+
 // TimelineConfig shapes a continuous capture.
 type TimelineConfig struct {
 	// FramesPerTag schedules this many frames from every tag, round-robin.
 	FramesPerTag int
 
-	// MinGapSymbols / MaxGapSymbols bound the idle gap drawn before each
-	// frame, in symbol times. Defaults 2 and 12. MinGapSymbols also sets the
-	// floor that keeps adjacent frames unambiguous to Match.
-	MinGapSymbols, MaxGapSymbols float64
-
-	// LeadSymbols is the idle air before the first frame and after the last
-	// (so segmentation never sees a frame at sample zero). Default 4.
-	LeadSymbols float64
-
 	// OverlapEvery, when positive, schedules every OverlapEvery-th frame to
-	// start OverlapSymbols symbol times before the previous frame ends — a
-	// collision the segmenter is expected to lose, the way a real gateway
-	// loses colliding backscatter packets.
+	// start four symbol times before the previous frame ends — a collision
+	// the segmenter is expected to lose, the way a real gateway loses
+	// colliding backscatter packets.
 	OverlapEvery int
-
-	// OverlapSymbols is the collision depth in symbol times. Default 4.
-	OverlapSymbols float64
 
 	// SeqBase offsets every scheduled frame's per-tag sequence number: tag
 	// payloads are pure functions of (Seed, tag, seq), so a long-running
@@ -66,35 +68,6 @@ type TimelineConfig struct {
 type Retransmit struct {
 	Tag int
 	Seq uint64
-}
-
-// withDefaults fills zero fields and validates.
-func (tl TimelineConfig) withDefaults() (TimelineConfig, error) {
-	if tl.FramesPerTag < 1 {
-		return tl, fmt.Errorf("sim: frames per tag %d < 1", tl.FramesPerTag)
-	}
-	if tl.MinGapSymbols == 0 {
-		tl.MinGapSymbols = 2
-	}
-	if tl.MaxGapSymbols == 0 {
-		tl.MaxGapSymbols = 12
-	}
-	if tl.MinGapSymbols < 1 || tl.MaxGapSymbols < tl.MinGapSymbols {
-		return tl, fmt.Errorf("sim: gap range [%g, %g] symbols invalid (min >= 1)", tl.MinGapSymbols, tl.MaxGapSymbols)
-	}
-	if tl.LeadSymbols == 0 {
-		tl.LeadSymbols = 4
-	}
-	if tl.LeadSymbols < 0 {
-		return tl, fmt.Errorf("sim: lead %g symbols negative", tl.LeadSymbols)
-	}
-	if tl.OverlapSymbols == 0 {
-		tl.OverlapSymbols = 4
-	}
-	if tl.OverlapSymbols < 0 {
-		return tl, fmt.Errorf("sim: overlap %g symbols negative", tl.OverlapSymbols)
-	}
-	return tl, nil
 }
 
 // StreamFrame is one transmission scheduled on a timeline: the ground truth
@@ -140,9 +113,11 @@ type Stream struct {
 // renders it through the demodulator chain of cfg in a single pass. The
 // result is deterministic in (cfg, tl, ts.Seed).
 func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, error) {
-	tl, err := tl.withDefaults()
-	if err != nil {
-		return nil, err
+	if tl.FramesPerTag < 1 {
+		return nil, fmt.Errorf("sim: frames per tag %d < 1", tl.FramesPerTag)
+	}
+	if len(ts.Tags) == 0 {
+		return nil, fmt.Errorf("sim: tag set has no tags to schedule")
 	}
 	d, err := core.New(cfg)
 	if err != nil {
@@ -163,7 +138,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 	total := regular + len(tl.Retransmits)
 	events := make([]StreamFrame, 0, total)
 	trajs := make([][]float64, 0, total)
-	at := symSamples(tl.LeadSymbols)
+	at := symSamples(leadSymbols)
 	prevEnd := at
 	for i := 0; i < total; i++ {
 		var tag SimTag
@@ -187,11 +162,11 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 			return nil, err
 		}
 		traj := frame.FreqTrajectory(nil, fsSim)
-		gap := tl.MinGapSymbols + rng.Float64()*(tl.MaxGapSymbols-tl.MinGapSymbols)
+		gap := minGapSymbols + rng.Float64()*(maxGapSymbols-minGapSymbols)
 		start := prevEnd + symSamples(gap)
 		collides := false
 		if tl.OverlapEvery > 0 && i > 0 && i%tl.OverlapEvery == 0 {
-			start = prevEnd - symSamples(tl.OverlapSymbols)
+			start = prevEnd - symSamples(overlapSymbols)
 			if start < 0 {
 				start = 0
 			}
@@ -214,7 +189,7 @@ func (ts *TagSet) RenderTimeline(cfg core.Config, tl TimelineConfig) (*Stream, e
 
 	// Compose the superposed antenna signal and render the whole capture
 	// through the chain once.
-	x := make([]float64, prevEnd+symSamples(tl.LeadSymbols))
+	x := make([]float64, prevEnd+symSamples(leadSymbols))
 	for i, ev := range events {
 		d.ComposeSignal(x, ev.StartSim, trajs[i], ev.RSSDBm)
 	}

@@ -44,8 +44,7 @@ func TestRenderTimelineDeterministic(t *testing.T) {
 
 func TestTimelineScheduleShape(t *testing.T) {
 	ts := testTagSet(t, 3)
-	tl := TimelineConfig{FramesPerTag: 4, MinGapSymbols: 2, MaxGapSymbols: 10}
-	s, err := ts.RenderTimeline(core.DefaultConfig(), tl)
+	s, err := ts.RenderTimeline(core.DefaultConfig(), TimelineConfig{FramesPerTag: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +58,8 @@ func TestTimelineScheduleShape(t *testing.T) {
 			t.Errorf("event %d start %d not after event %d start %d", i, cur.StartSim, i-1, prev.StartSim)
 		}
 		gapSym := (float64(cur.StartSamp-prev.StartSamp))/s.SamplesPerSymbol - frameSym
-		if gapSym < tl.MinGapSymbols-1 || gapSym > tl.MaxGapSymbols+1 {
-			t.Errorf("gap before event %d is %.1f symbols, want within [%g, %g]", i, gapSym, tl.MinGapSymbols, tl.MaxGapSymbols)
+		if gapSym < minGapSymbols-1 || gapSym > maxGapSymbols+1 {
+			t.Errorf("gap before event %d is %.1f symbols, want within [%d, %d]", i, gapSym, minGapSymbols, maxGapSymbols)
 		}
 	}
 	// Round-robin tag order, sequence numbers per tag.
@@ -287,11 +286,7 @@ func equalSymbols(a, b []int) bool {
 func TestTimelineValidation(t *testing.T) {
 	ts := testTagSet(t, 2)
 	bad := []TimelineConfig{
-		{},                                    // no frames
-		{FramesPerTag: 1, MinGapSymbols: 0.5}, // gap floor below 1
-		{FramesPerTag: 1, MinGapSymbols: 8, MaxGapSymbols: 4}, // inverted range
-		{FramesPerTag: 1, LeadSymbols: -1},
-		{FramesPerTag: 1, OverlapSymbols: -2},
+		{}, // no frames
 	}
 	for i, tl := range bad {
 		if _, err := ts.RenderTimeline(core.DefaultConfig(), tl); err == nil {
@@ -303,5 +298,10 @@ func TestTimelineValidation(t *testing.T) {
 	cfg.Params.K = 3
 	if _, err := ts.RenderTimeline(cfg, TimelineConfig{FramesPerTag: 1}); err == nil {
 		t.Error("mismatched demod params accepted")
+	}
+	// A set with no tags has nothing to schedule.
+	empty := &TagSet{Params: ts.Params, Seed: ts.Seed}
+	if _, err := empty.RenderTimeline(core.DefaultConfig(), TimelineConfig{FramesPerTag: 1}); err == nil {
+		t.Error("empty tag set accepted")
 	}
 }

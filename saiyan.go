@@ -37,10 +37,6 @@ type (
 	Demodulator = core.Demodulator
 	// Mode selects vanilla / freq-shift / full (Figure 25 ablation).
 	Mode = core.Mode
-	// AGCConfig tunes the automatic-gain-control threshold estimator
-	// (the paper's stated future work; see Demodulator.ProcessFrameAuto).
-	// Zero value: fully usable, every field defaults.
-	AGCConfig = core.AGCConfig
 )
 
 // Configuration pattern. Every XConfig in this package follows one rule:
@@ -55,14 +51,18 @@ type (
 // the same pipeline as NewPipeline(DefaultPipelineConfig()).
 // saiyan_api_test.go holds the contract: every exported constructor either
 // accepts its zero-value config or returns a descriptive error.
+//
+// A value no caller varies is a constant, not a field: the AGC estimator's
+// peak and floor percentiles (98th and 25th), the pipeline's batch queue
+// and Results buffer (2x and 4x Workers) and its flight shards (1+worker),
+// the timeline's idle gaps (2 to 12 symbols), lead-in and collision depth
+// (4 symbols each), and the gateway's link-margin BER model.
+// TestConfigFieldsPinned lists every settable field, so a new option is a
+// visible diff.
 
 // DefaultConfig returns the paper's Section 5 evaluation setting: SF 7,
 // BW 500 kHz, CR 1, full demodulation chain, 3.2x sampling.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultAGCConfig returns the calibrated online threshold estimator;
-// identical to a zero AGCConfig.
-func DefaultAGCConfig() AGCConfig { return core.DefaultAGCConfig() }
 
 // DefaultPipelineConfig returns a pipeline over the paper's default
 // demodulator with one worker per CPU.
@@ -198,9 +198,9 @@ type (
 	// Pipeline fans frames from many tags out to a pool of demodulator
 	// workers; build with NewPipeline, feed with Submit, finish with Drain.
 	Pipeline = pipeline.Pipeline
-	// PipelineConfig tunes the worker pool, queue depths, seed, and the
-	// per-distance calibration quantum. Zero value: every field except
-	// Demod defaults (one worker per CPU); Demod is required.
+	// PipelineConfig tunes the worker pool (queue depths scale with it),
+	// seed, and the per-distance calibration quantum. Zero value: every
+	// field except Demod defaults (one worker per CPU); Demod is required.
 	PipelineConfig = pipeline.Config
 	// PipelineJob is one downlink frame awaiting demodulation.
 	PipelineJob = pipeline.Job
@@ -344,8 +344,9 @@ func VerifyTrace(path string, workers int) (PipelineStats, int, error) {
 // demodulating them (the paper's Section 3.2 packet detection), unlike the
 // per-frame pipeline whose jobs arrive with oracle boundaries.
 type (
-	// TimelineConfig shapes a continuous capture: frames per tag, idle gap
-	// bounds, lead-in, optional collisions.
+	// TimelineConfig shapes a continuous capture: frames per tag, optional
+	// collisions, sequence base, retransmissions. Idle gaps (2 to 12
+	// symbols), lead-in and collision depth (4 symbols) are fixed.
 	TimelineConfig = sim.TimelineConfig
 	// TagStream is a rendered continuous capture: envelope stream(s) plus
 	// the transmission schedule that produced them.

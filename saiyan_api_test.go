@@ -7,6 +7,7 @@ package saiyan_test
 // panics, hangs, or returns a bare error breaks this contract.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,5 +116,37 @@ func TestZeroValueConfigContract(t *testing.T) {
 	}
 	if _, err := saiyan.NewGateway(saiyan.DefaultGatewayConfig()); err != nil {
 		t.Errorf("NewGateway(DefaultGatewayConfig): %v", err)
+	}
+}
+
+// TestConfigFieldsPinned lists the exported fields of every facade config
+// against a literal list, so adding or removing an option is a visible diff
+// here rather than a silent change to the settable surface.
+func TestConfigFieldsPinned(t *testing.T) {
+	want := []struct {
+		name   string
+		cfg    any
+		fields []string
+	}{
+		{"Config", saiyan.Config{}, []string{"Params", "Mode", "Datapath", "ADCBits", "SampleRateMultiplier", "Oversample", "CorrOversample", "SAW", "LNA", "Envelope", "IFAmp", "ClockPhaseError", "ThresholdGapDB", "VideoCutoffFrac"}},
+		{"PipelineConfig", saiyan.PipelineConfig{}, []string{"Demod", "Workers", "DiscardResults", "Seed", "CalibrationQuantumDB", "Metrics", "Flight"}},
+		{"StreamConfig", saiyan.StreamConfig{}, []string{"Demod", "PayloadSymbols", "HuntRSSDBm", "Seed", "Metrics", "Flight", "FlightEpoch", "FlightChannel"}},
+		{"TimelineConfig", saiyan.TimelineConfig{}, []string{"FramesPerTag", "OverlapEvery", "SeqBase", "Retransmits"}},
+		{"GatewayConfig", saiyan.GatewayConfig{}, []string{"Demod", "Budget", "Channels", "Tags", "MinM", "MaxM", "FramesPerTag", "ChunkSamples", "Workers", "Seed", "StatsWindow", "Adapter", "InitialRateK", "HopThresholdPRR", "RetryMax", "JoinEvery", "LeaveEvery", "MobilitySigma", "Degrade", "RecalThresholdDB", "Metrics", "Flight", "Health"}},
+		{"ServerConfig", saiyan.ServerConfig{}, []string{"Gateway", "Addr", "Epochs", "EpochGap", "FrameQueue", "MetricsQueue", "WriteTimeout", "CaptureDir", "Logf", "Metrics", "Flight", "Health"}},
+		{"FlightOptions", saiyan.FlightOptions{}, []string{"Shards", "SpanCap", "DumpCap", "MaxSpans"}},
+		{"HealthOptions", saiyan.HealthOptions{}, []string{"RawCap", "FanIn", "Tiers", "JournalCap", "ExemplarCap", "Rules"}},
+	}
+	for _, w := range want {
+		rt := reflect.TypeOf(w.cfg)
+		var got []string
+		for i := 0; i < rt.NumField(); i++ {
+			if f := rt.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, w.fields) {
+			t.Errorf("%s fields:\n got  %q\n want %q", w.name, got, w.fields)
+		}
 	}
 }

@@ -329,7 +329,7 @@ func TestFacadeAGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	rss := saiyan.DefaultLinkBudget().RSSDBm(70)
-	got, detected, err := demod.ProcessFrameAuto(frame, rss, saiyan.DefaultAGCConfig(), rng)
+	got, detected, err := demod.ProcessFrameAuto(frame, rss, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
